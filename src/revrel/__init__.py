@@ -29,15 +29,12 @@ from .quadrature import (
 from .distributions import (
     DistributionModel,
     FamilySpec,
-    MomentSet,
     SupportInterval,
     cdf_at,
     format_family,
     make_distribution,
     model_from_text,
-    moment_set,
     parse_family,
-    pdf_at,
     quantile_at,
     raw_moment,
 )

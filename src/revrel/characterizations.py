@@ -11,6 +11,9 @@ They come in three shapes:
 * mixed-ratio products E[w(X)*g1(X)/g2(X)] * E[w(X)*g2(X)/g1(X)] >= rhs,
   pairing the rate with the inactivity mean or the reversed intensity.
 
+Everything particular to one check lives in its row of ``_ROWS``, so
+adding a check means adding one row.
+
 Classification is ratio-based: a converged check reports ratio = lhs/rhs
 and the verdict compares the ratio against 1.  On negative supports both
 sides of a moment bound can be negative and the literal lhs >= rhs
@@ -27,8 +30,11 @@ checks still run and report measured behavior, but no equality is ever
 asserted for them.
 
 The ``Violation`` verdict (converged ratio below 1 beyond tolerance)
-exists so the impossible case is visible rather than silently folded
-into the nearest legal verdict; no reachable input should produce it.
+keeps the impossible case visible.  It is reachable: the odd-power
+x-weights of T2_7, T4_2 and T4_4 change sign on supports that contain 0,
+and only T3_4 and T3_5 guard against that.  On
+``truncevpower:alpha=1.708,b=0.513`` they give ratios -4.24, -21.96 and
+-0.46 (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .distributions import (
     DistributionModel,
@@ -48,7 +55,7 @@ from .distributions import (
     raw_moment,
 )
 from .errors import DivergentMoment, ParameterError
-from .functionals import numeric_eit, numeric_rhr
+from .functionals import numeric_eit, numeric_rhr, rai
 from .quadrature import (
     DEFAULT_TOL,
     ExpectationSpec,
@@ -121,9 +128,6 @@ _KIND_MOMENT = "moment-bound"
 _KIND_MIXED_ONE = "mixed-product-unit"
 _KIND_MIXED_MUSQ = "mixed-product-moment-sq"
 
-_SUSPECT_IDS = frozenset({TheoremId.T3_2, TheoremId.T3_3,
-                          TheoremId.T3_6, TheoremId.T3_7})
-
 _EQ_TOL_DEFAULT = 1e-4
 
 
@@ -144,9 +148,6 @@ class CheckSpec:
     def lhs_weights(self, model: DistributionModel) -> Tuple[Callable[[float], float], ...]:
         return _factors(self, model)
 
-    def rhs_value(self, model: DistributionModel) -> float:
-        return _rhs(self, model)
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -166,6 +167,211 @@ class CheckReport:
     note: str = ""
 
 
+_NUMERIC = {"rhr": numeric_rhr, "eit": numeric_eit, "rai": rai}
+
+
+def _functional(model: DistributionModel, name: str) -> Callable[[float], float]:
+    """The model's closed form of rhr, eit or rai, else the numeric definition."""
+    closed = getattr(model, name)
+    return closed if closed is not None else partial(_NUMERIC[name], model)
+
+
+# ------------------------------------------------------------- x-weights
+#
+# Factor integrands are assembled in log-magnitude space with an explicit
+# sign.  Component-wise evaluation like 1/(x^2 * rhr(x)) dies long before
+# the value does: x^2 underflows to 0 around 1e-154 and the reciprocal
+# becomes inf at nodes where the true weight (1/(c*x) after cancellation)
+# is perfectly representable, which the engine then misreads as an
+# endpoint blow-up.  Summing logs and exponentiating once degrades to
+# 0.0 or inf only when the weight value itself leaves float range.
+# An x-weight shape maps a check to (log|w|, sign of w).
+
+_plus = lambda x: 1.0
+_sign_x = lambda x: 1.0 if x > 0.0 else -1.0
+
+
+def _power(p: int):
+    # exact for p = 1 and p = -1: 1*y and -1*y are y and -y
+    return (lambda x: p * math.log(abs(x))), (_plus if p % 2 == 0 else _sign_x)
+
+
+def _reciprocal_linear(c: CheckSpec):
+    a, bt = c.alpha, c.beta
+    return (lambda x: -math.log(abs(a + bt * x))), \
+           (lambda x: 1.0 if a + bt * x > 0.0 else -1.0)
+
+
+_UNIT = lambda c: ((lambda x: 0.0), _plus)
+_X = lambda c: _power(1)
+_X_TO_K = lambda c: _power(c.k)
+_X_TO_MINUS_K = lambda c: _power(-c.k)
+_EXP_X = lambda c: ((lambda x: x), _plus)
+_BASE_TO_X = lambda c: ((lambda x, lb=math.log(c.base): x * lb), _plus)
+
+
+def _integer_k(minimum: int, odd: bool = False):
+    def check(tid: TheoremId, k) -> Dict[str, object]:
+        if not isinstance(k, int) or k < minimum or (odd and k % 2 == 0):
+            what = "odd integer" if odd else "integer"
+            raise ParameterError(f"{tid.value} needs {what} k >= {minimum}, got {k!r}")
+        return {"k": k}
+    return check
+
+
+def _base_above_one(tid: TheoremId, base) -> Dict[str, object]:
+    base = float(base)
+    if not base > 1.0:
+        raise ParameterError(f"{tid.value} needs base > 1, got {base!r}")
+    return {"base": base}
+
+
+def _linear_coefficients(tid: TheoremId, alpha, beta) -> Dict[str, object]:
+    alpha, beta = float(alpha), float(beta)
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ParameterError(f"{tid.value} needs finite alpha and beta")
+    if alpha == 0.0 and beta == 0.0:
+        raise ParameterError(f"{tid.value} weight alpha+beta*x must not vanish identically")
+    return {"alpha": alpha, "beta": beta}
+
+
+def _reciprocal_linear_guard(c: CheckSpec, lo: float, hi: float) -> Optional[str]:
+    if c.beta != 0.0 and lo < -c.alpha / c.beta < hi:
+        return "weight 1/(alpha+beta*x) changes sign inside the support"
+    return None
+
+
+def _constant_eit(c: CheckSpec, fam: str, p: Mapping[str, float]) -> bool:
+    return fam == "type3ev" or (fam == "linearmit" and p["beta"] == 0.0)
+
+
+def _reflweibull_k(c: CheckSpec, fam: str, p: Mapping[str, float]) -> bool:
+    return fam == "reflweibull" and p["k"] == float(c.k)
+
+
+def _linear_eit(c: CheckSpec, fam: str, p: Mapping[str, float]) -> bool:
+    if fam == "linearmit":
+        return p["alpha"] * c.beta == p["beta"] * c.alpha
+    return (fam == "type3ev" and c.beta == 0.0) or (fam in ("power", "uniform") and c.alpha == 0.0)
+
+
+# ----------------------------------------------------------- check table
+
+@dataclass(frozen=True)
+class _Row:
+    """Everything particular to one check."""
+
+    template: str  # formatted with the check's parameters and kp1 = k + 1
+    kind: str
+    support: SupportRequirement
+    functional: str  # g of a product or moment bound, or rhr's partner in a mixed one
+    weight: Callable  # x-weight shape: check -> (log|w|, sign of w)
+    family: Tuple[str, Mapping[str, float]]  # equality family, free parameters, defaults
+    equality: Callable  # (check, family, its params) -> equality, or a suspect's claim
+    params: Mapping[str, object] = field(default_factory=dict)  # taken, with defaults
+    validate: Callable = lambda tid: {}  # checks params, returns CheckSpec fields
+    # family parameters set by the check; a family with them takes its parameters
+    family_params: Optional[Callable[[CheckSpec, Dict], Dict]] = None
+    sign_guard: Optional[Callable[[CheckSpec, float, float], Optional[str]]] = None
+    suspect: bool = False
+
+
+_PRODUCT, _MOMENT = _KIND_PRODUCT, _KIND_MOMENT
+_ANY, _NONNEG, _FINITE_B = SupportRequirement
+_TYPE3EV = ("type3ev", {"gamma": 1.0, "b": 0.0})
+_POWER = ("power", {"b": 1.0, "c": 2.0})
+_REFLWEIBULL = ("reflweibull", {"theta": 0.5})
+_FINITERANGE = ("finiterange", {"theta": 0.5, "b": 1.0})
+_K_ONE = lambda tid: {"k": 1}
+_WITH_K = lambda c, v: {**v, "k": float(c.k)}
+_WITH_BASE = lambda c, v: {**v, "a_base": c.base}
+
+_ROWS: Dict[TheoremId, _Row] = {
+    TheoremId.T2_1: _Row("E[1/rhr(X)] * E[rhr(X)] >= 1",
+                         _PRODUCT, _ANY, "rhr", _UNIT, _TYPE3EV, _constant_eit),
+    TheoremId.T2_2: _Row("E[1/(X*rhr(X))] * E[X*rhr(X)] >= 1, X >= 0",
+                         _PRODUCT, _NONNEG, "rhr", _X, _POWER,
+                         lambda c, fam, p: fam in ("power", "uniform")),
+    TheoremId.T2_4: _Row(
+        "E[1/(X^{k}*rhr(X))] * E[X^{k}*rhr(X)] >= 1, X >= 0",
+        _PRODUCT, _NONNEG, "rhr", _X_TO_K, ("invweibull", {"theta": 1.0}),
+        lambda c, fam, p: fam == "invweibull" and p["delta"] == float(c.k - 1),
+        params={"k": 2}, validate=_integer_k(2),
+        family_params=lambda c, v: {"nu": v["theta"] / (c.k - 1), "delta": float(c.k - 1)}),
+    TheoremId.T2_5: _Row("E[1/(exp(X)*rhr(X))] * E[exp(X)*rhr(X)] >= 1",
+                         _PRODUCT, _ANY, "rhr", _EXP_X, ("truncevpower", {"alpha": 1.5, "b": 0.0}),
+                         lambda c, fam, p: fam == "truncevpower"),
+    TheoremId.T2_6: _Row(
+        "E[1/({base:g}^X*rhr(X))] * E[{base:g}^X*rhr(X)] >= 1",
+        _PRODUCT, _ANY, "rhr", _BASE_TO_X, ("basealinkedrhr", {"theta": 1.0, "b": 0.0}),
+        lambda c, fam, p: fam == "basealinkedrhr" and p["a_base"] == c.base,
+        params={"base": 2.0}, validate=_base_above_one, family_params=_WITH_BASE),
+    TheoremId.T2_7: _Row("E[X*rhr(X)] >= 2*mu^2/(b^2 - mu_2)",
+                         _MOMENT, _FINITE_B, "rhr", _X_TO_K, _TYPE3EV, _constant_eit,
+                         validate=_K_ONE),
+    TheoremId.T2_8: _Row("E[X^{k}*rhr(X)] >= {kp1}*mu_{k}^2/(b^{kp1} - mu_{kp1})",
+                         _MOMENT, _FINITE_B, "rhr", _X_TO_K, _TYPE3EV, _constant_eit,
+                         params={"k": 2}, validate=_integer_k(1)),
+    TheoremId.T2_9: _Row("E[rhr(X)/X] >= 2/(b^2 - mu_2)",
+                         _MOMENT, _FINITE_B, "rhr", _X_TO_MINUS_K, _REFLWEIBULL, _reflweibull_k,
+                         validate=_K_ONE, family_params=_WITH_K),
+    TheoremId.T2_10: _Row("E[rhr(X)/X^{k}] >= {kp1}/(b^{kp1} - mu_{kp1})",
+                          _MOMENT, _FINITE_B, "rhr", _X_TO_MINUS_K, _REFLWEIBULL, _reflweibull_k,
+                          params={"k": 3}, validate=_integer_k(1, odd=True),
+                          family_params=_WITH_K),
+    TheoremId.T3_1: _Row("E[1/eit(X)] * E[eit(X)] >= 1",
+                         _PRODUCT, _ANY, "eit", _UNIT, _TYPE3EV, _constant_eit),
+    TheoremId.T3_2: _Row("E[1/(X*eit(X))] * E[X*eit(X)] >= 1, X >= 0",
+                         _PRODUCT, _NONNEG, "eit", _X, _FINITERANGE,
+                         lambda c, fam, p: fam == "finiterange" and p["k"] == 1.0,
+                         family_params=lambda c, v: {**v, "k": 1.0}, suspect=True),
+    TheoremId.T3_3: _Row("E[1/(X^{k}*eit(X))] * E[X^{k}*eit(X)] >= 1, X >= 0",
+                         _PRODUCT, _NONNEG, "eit", _X_TO_K, _FINITERANGE,
+                         lambda c, fam, p: fam == "finiterange" and p["k"] == float(c.k),
+                         params={"k": 2}, validate=_integer_k(1), family_params=_WITH_K,
+                         suspect=True),
+    TheoremId.T3_4: _Row(
+        "E[eit(X)/X] * E[X/eit(X)] >= 1",
+        _PRODUCT, _ANY, "eit", lambda c: _power(-1), _POWER,
+        lambda c, fam, p: fam in ("power", "uniform") or (fam == "linearmit" and p["alpha"] == 0.0),
+        sign_guard=lambda c, lo, hi: "weight 1/x changes sign inside the support"
+        if lo < 0.0 < hi else None),
+    TheoremId.T3_5: _Row(
+        "E[eit(X)/({alpha:g}+{beta:g}*X)] * E[({alpha:g}+{beta:g}*X)/eit(X)] >= 1",
+        _PRODUCT, _ANY, "eit", _reciprocal_linear,
+        ("linearmit", {"xi": 0.8, "alpha": 1.0, "beta": 0.5, "b": 0.0}), _linear_eit,
+        params={"alpha": 1.0, "beta": 0.5}, validate=_linear_coefficients,
+        sign_guard=_reciprocal_linear_guard),
+    TheoremId.T3_6: _Row("E[1/(exp(X)*eit(X))] * E[exp(X)*eit(X)] >= 1",
+                         _PRODUCT, _ANY, "eit", _EXP_X, ("explinkedeit", {"theta": 1.0, "b": 0.0}),
+                         lambda c, fam, p: fam == "explinkedeit", suspect=True),
+    TheoremId.T3_7: _Row(
+        "E[1/({base:g}^X*eit(X))] * E[{base:g}^X*eit(X)] >= 1",
+        _PRODUCT, _ANY, "eit", _BASE_TO_X,
+        ("basealinkedeit", {"gamma": 1.0, "delta": 1.0, "b": 0.0}),
+        lambda c, fam, p: fam == "basealinkedeit" and p["a_base"] == c.base,
+        params={"base": 2.0}, validate=_base_above_one, family_params=_WITH_BASE,
+        suspect=True),
+    TheoremId.T4_1: _Row("E[eit(X)/rhr(X)] * E[rhr(X)/eit(X)] >= 1",
+                         _KIND_MIXED_ONE, _ANY, "eit", _UNIT, _TYPE3EV, _constant_eit),
+    TheoremId.T4_2: _Row("E[X^{k}*eit(X)/rhr(X)] * E[X^{k}*rhr(X)/eit(X)] >= mu_{k}^2",
+                         _KIND_MIXED_MUSQ, _ANY, "eit", _X_TO_K, _TYPE3EV, _constant_eit,
+                         params={"k": 1}, validate=_integer_k(0)),
+    TheoremId.T4_3: _Row("E[rai(X)/rhr(X)] * E[rhr(X)/rai(X)] >= 1",
+                         _KIND_MIXED_ONE, _FINITE_B, "rai", _UNIT, _TYPE3EV, _constant_eit),
+    TheoremId.T4_4: _Row("E[X^{k}*rai(X)/rhr(X)] * E[X^{k}*rhr(X)/rai(X)] >= mu_{k}^2",
+                         _KIND_MIXED_MUSQ, _FINITE_B, "rai", _X_TO_K, _TYPE3EV, _constant_eit,
+                         params={"k": 1}, validate=_integer_k(0)),
+}
+
+
+def _row(theorem: TheoremId) -> _Row:
+    row = _ROWS.get(theorem)
+    if row is None:
+        raise ParameterError(f"unknown check id {theorem!r}")
+    return row
+
+
 # ------------------------------------------------------------ catalog
 
 def make_check(theorem: TheoremId,
@@ -175,105 +381,22 @@ def make_check(theorem: TheoremId,
                beta: Optional[float] = None) -> CheckSpec:
     """Build a CheckSpec for one check id, validating its parameters.
 
-    k defaults: T2_4 -> 2, T2_8 -> 2, T2_10 -> 3, T3_3 -> 2, T4_2/T4_4 -> 1.
-    base defaults to 2 for T2_6/T3_7; (alpha, beta) to (1, 0.5) for T3_5.
+    k defaults: T2_4 -> 2, T2_8 -> 2, T2_10 -> 3, T3_3 -> 2, T4_2/T4_4 -> 1;
+    T2_7 and T2_9 fix k = 1.  base defaults to 2 for T2_6/T3_7; (alpha,
+    beta) to (1, 0.5) for T3_5.  A parameter the check does not take is
+    a ParameterError.
     """
-    tid = theorem
-    suspect = tid in _SUSPECT_IDS
-
-    if tid in (TheoremId.T2_1,):
-        return CheckSpec(tid, "E[1/rhr(X)] * E[rhr(X)] >= 1",
-                         _KIND_PRODUCT, SupportRequirement.Any, suspect=suspect)
-    if tid is TheoremId.T2_2:
-        return CheckSpec(tid, "E[1/(X*rhr(X))] * E[X*rhr(X)] >= 1, X >= 0",
-                         _KIND_PRODUCT, SupportRequirement.Nonnegative)
-    if tid is TheoremId.T2_4:
-        k = 2 if k is None else k
-        if not isinstance(k, int) or k < 2:
-            raise ParameterError(f"T2_4 needs integer k >= 2, got {k!r}")
-        return CheckSpec(tid, f"E[1/(X^{k}*rhr(X))] * E[X^{k}*rhr(X)] >= 1, X >= 0",
-                         _KIND_PRODUCT, SupportRequirement.Nonnegative, k=k)
-    if tid is TheoremId.T2_5:
-        return CheckSpec(tid, "E[1/(exp(X)*rhr(X))] * E[exp(X)*rhr(X)] >= 1",
-                         _KIND_PRODUCT, SupportRequirement.Any)
-    if tid is TheoremId.T2_6:
-        base = 2.0 if base is None else float(base)
-        if not base > 1.0:
-            raise ParameterError(f"T2_6 needs base > 1, got {base!r}")
-        return CheckSpec(tid, f"E[1/({base:g}^X*rhr(X))] * E[{base:g}^X*rhr(X)] >= 1",
-                         _KIND_PRODUCT, SupportRequirement.Any, base=base)
-    if tid is TheoremId.T2_7:
-        return CheckSpec(tid, "E[X*rhr(X)] >= 2*mu^2/(b^2 - mu_2)",
-                         _KIND_MOMENT, SupportRequirement.FiniteB, k=1)
-    if tid is TheoremId.T2_8:
-        k = 2 if k is None else k
-        if not isinstance(k, int) or k < 1:
-            raise ParameterError(f"T2_8 needs integer k >= 1, got {k!r}")
-        return CheckSpec(tid, f"E[X^{k}*rhr(X)] >= {k + 1}*mu_{k}^2/(b^{k + 1} - mu_{k + 1})",
-                         _KIND_MOMENT, SupportRequirement.FiniteB, k=k)
-    if tid is TheoremId.T2_9:
-        return CheckSpec(tid, "E[rhr(X)/X] >= 2/(b^2 - mu_2)",
-                         _KIND_MOMENT, SupportRequirement.FiniteB, k=1)
-    if tid is TheoremId.T2_10:
-        k = 3 if k is None else k
-        if not isinstance(k, int) or k < 1 or k % 2 == 0:
-            raise ParameterError(f"T2_10 needs odd integer k >= 1, got {k!r}")
-        return CheckSpec(tid, f"E[rhr(X)/X^{k}] >= {k + 1}/(b^{k + 1} - mu_{k + 1})",
-                         _KIND_MOMENT, SupportRequirement.FiniteB, k=k)
-    if tid is TheoremId.T3_1:
-        return CheckSpec(tid, "E[1/eit(X)] * E[eit(X)] >= 1",
-                         _KIND_PRODUCT, SupportRequirement.Any)
-    if tid is TheoremId.T3_2:
-        return CheckSpec(tid, "E[1/(X*eit(X))] * E[X*eit(X)] >= 1, X >= 0",
-                         _KIND_PRODUCT, SupportRequirement.Nonnegative, suspect=True)
-    if tid is TheoremId.T3_3:
-        k = 2 if k is None else k
-        if not isinstance(k, int) or k < 1:
-            raise ParameterError(f"T3_3 needs integer k >= 1, got {k!r}")
-        return CheckSpec(tid, f"E[1/(X^{k}*eit(X))] * E[X^{k}*eit(X)] >= 1, X >= 0",
-                         _KIND_PRODUCT, SupportRequirement.Nonnegative, k=k, suspect=True)
-    if tid is TheoremId.T3_4:
-        return CheckSpec(tid, "E[eit(X)/X] * E[X/eit(X)] >= 1",
-                         _KIND_PRODUCT, SupportRequirement.Any)
-    if tid is TheoremId.T3_5:
-        alpha = 1.0 if alpha is None else float(alpha)
-        beta = 0.5 if beta is None else float(beta)
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise ParameterError("T3_5 needs finite alpha and beta")
-        if alpha == 0.0 and beta == 0.0:
-            raise ParameterError("T3_5 weight alpha+beta*x must not vanish identically")
-        return CheckSpec(
-            tid,
-            f"E[eit(X)/({alpha:g}+{beta:g}*X)] * E[({alpha:g}+{beta:g}*X)/eit(X)] >= 1",
-            _KIND_PRODUCT, SupportRequirement.Any, alpha=alpha, beta=beta)
-    if tid is TheoremId.T3_6:
-        return CheckSpec(tid, "E[1/(exp(X)*eit(X))] * E[exp(X)*eit(X)] >= 1",
-                         _KIND_PRODUCT, SupportRequirement.Any, suspect=True)
-    if tid is TheoremId.T3_7:
-        base = 2.0 if base is None else float(base)
-        if not base > 1.0:
-            raise ParameterError(f"T3_7 needs base > 1, got {base!r}")
-        return CheckSpec(tid, f"E[1/({base:g}^X*eit(X))] * E[{base:g}^X*eit(X)] >= 1",
-                         _KIND_PRODUCT, SupportRequirement.Any, base=base, suspect=True)
-    if tid is TheoremId.T4_1:
-        return CheckSpec(tid, "E[eit(X)/rhr(X)] * E[rhr(X)/eit(X)] >= 1",
-                         _KIND_MIXED_ONE, SupportRequirement.Any)
-    if tid is TheoremId.T4_2:
-        k = 1 if k is None else k
-        if not isinstance(k, int) or k < 0:
-            raise ParameterError(f"T4_2 needs integer k >= 0, got {k!r}")
-        return CheckSpec(tid, f"E[X^{k}*eit(X)/rhr(X)] * E[X^{k}*rhr(X)/eit(X)] >= mu_{k}^2",
-                         _KIND_MIXED_MUSQ, SupportRequirement.Any, k=k)
-    if tid is TheoremId.T4_3:
-        return CheckSpec(tid, "E[rai(X)/rhr(X)] * E[rhr(X)/rai(X)] >= 1",
-                         _KIND_MIXED_ONE, SupportRequirement.FiniteB)
-    if tid is TheoremId.T4_4:
-        k = 1 if k is None else k
-        if not isinstance(k, int) or k < 0:
-            raise ParameterError(f"T4_4 needs integer k >= 0, got {k!r}")
-        return CheckSpec(tid, f"E[X^{k}*rai(X)/rhr(X)] * E[X^{k}*rhr(X)/rai(X)] >= mu_{k}^2",
-                         _KIND_MIXED_MUSQ, SupportRequirement.FiniteB, k=k)
-    raise ParameterError(f"unknown check id {theorem!r}")
+    row = _row(theorem)
+    given = {name: value for name, value in
+             (("k", k), ("base", base), ("alpha", alpha), ("beta", beta))
+             if value is not None}
+    extra = sorted(set(given) - set(row.params))
+    if extra:
+        raise ParameterError(f"{theorem.value} does not take {', '.join(extra)}")
+    values = row.validate(theorem, **{**row.params, **given})
+    description = row.template.format(**values, kp1=values.get("k", 0) + 1)
+    return CheckSpec(theorem, description, row.kind, row.support,
+                     suspect=row.suspect, **values)
 
 
 def theorem_catalog() -> Tuple[CheckSpec, ...]:
@@ -308,64 +431,31 @@ def equality_family(theorem: TheoremId, **params: float) -> DistributionModel:
 
     For the four suspect checks this returns the family as printed; the
     package never asserts that those models actually achieve equality.
-    Accepted keyword parameters per check (all optional, with defaults):
+    Accepted keyword parameters per check, all optional, k and base
+    validated as make_check validates them; any other is a ParameterError:
 
     * T2_1/T2_7/T2_8/T3_1/T4_1..T4_4: gamma, b      (constant-rate family)
     * T2_2/T3_4: b, c                                (power family)
     * T2_4: k, theta -> shape nu=theta/(k-1), delta=k-1
-    * T2_5: alpha, b
-    * T2_6: base, theta, b
-    * T2_9/T2_10: theta (k fixed to 1 resp. the check's odd k)
-    * T3_2/T3_3: theta, b (k fixed to 1 resp. the check's k)  [suspect]
+    * T2_5: alpha, b;  T2_6: base, theta, b
+    * T2_9: theta (k fixed to 1);  T2_10: k, theta (odd k)
+    * T3_2: theta, b (k fixed to 1);  T3_3: k, theta, b  [suspect]
     * T3_5: xi, alpha, beta, b                       (linear-eit family)
-    * T3_6: theta, b                                  [suspect]
-    * T3_7: base, gamma, delta, b                     [suspect]
+    * T3_6: theta, b;  T3_7: base, gamma, delta, b   [suspect]
     """
+    row = _row(theorem)
     p = dict(params)
-    tid = theorem
-
-    def take(key: str, default: float) -> float:
-        return float(p.pop(key, default))
-
-    if tid in (TheoremId.T2_1, TheoremId.T2_7, TheoremId.T2_8, TheoremId.T3_1,
-               TheoremId.T4_1, TheoremId.T4_2, TheoremId.T4_3, TheoremId.T4_4):
-        spec = FamilySpec("type3ev", {"gamma": take("gamma", 1.0), "b": take("b", 0.0)})
-    elif tid in (TheoremId.T2_2, TheoremId.T3_4):
-        spec = FamilySpec("power", {"b": take("b", 1.0), "c": take("c", 2.0)})
-    elif tid is TheoremId.T2_4:
-        k = int(p.pop("k", 2))
-        if k < 2:
-            raise ParameterError(f"T2_4 equality family needs k >= 2, got {k}")
-        theta = take("theta", 1.0)
-        spec = FamilySpec("invweibull", {"nu": theta / (k - 1), "delta": float(k - 1)})
-    elif tid is TheoremId.T2_5:
-        spec = FamilySpec("truncevpower", {"alpha": take("alpha", 1.5), "b": take("b", 0.0)})
-    elif tid is TheoremId.T2_6:
-        spec = FamilySpec("basealinkedrhr", {
-            "theta": take("theta", 1.0), "a_base": take("base", 2.0), "b": take("b", 0.0)})
-    elif tid in (TheoremId.T2_9, TheoremId.T2_10):
-        k = int(p.pop("k", 1 if tid is TheoremId.T2_9 else 3))
-        spec = FamilySpec("reflweibull", {"theta": take("theta", 0.5), "k": float(k)})
-    elif tid in (TheoremId.T3_2, TheoremId.T3_3):
-        k = int(p.pop("k", 1 if tid is TheoremId.T3_2 else 2))
-        spec = FamilySpec("finiterange", {
-            "theta": take("theta", 0.5), "b": take("b", 1.0), "k": float(k)})
-    elif tid is TheoremId.T3_5:
-        spec = FamilySpec("linearmit", {
-            "xi": take("xi", 0.8), "alpha": take("alpha", 1.0),
-            "beta": take("beta", 0.5), "b": take("b", 0.0)})
-    elif tid is TheoremId.T3_6:
-        spec = FamilySpec("explinkedeit", {"theta": take("theta", 1.0), "b": take("b", 0.0)})
-    elif tid is TheoremId.T3_7:
-        spec = FamilySpec("basealinkedeit", {
-            "gamma": take("gamma", 1.0), "delta": take("delta", 1.0),
-            "a_base": take("base", 2.0), "b": take("b", 0.0)})
-    else:
-        raise ParameterError(f"unknown check id {theorem!r}")
+    takes_check_params = row.family_params is not None
+    check = make_check(theorem, **{name: p.pop(name) for name in row.params
+                                   if takes_check_params and name in p})
+    name, defaults = row.family
+    values = {key: float(p.pop(key, default)) for key, default in defaults.items()}
     if p:
         raise ParameterError(
-            f"unexpected parameters for {tid.value} equality family: {sorted(p)}")
-    return make_distribution(spec)
+            f"unexpected parameters for {theorem.value} equality family: {sorted(p)}")
+    if takes_check_params:
+        values = row.family_params(check, values)
+    return make_distribution(FamilySpec(name, values))
 
 
 def expected_equality_pair(check: CheckSpec, model: DistributionModel) -> bool:
@@ -381,126 +471,16 @@ def expected_equality_pair(check: CheckSpec, model: DistributionModel) -> bool:
     slope = constant rate) are included.  Suspect checks always return
     False here.
     """
-    fam = model.spec.family
-    p = model.spec.params
-    tid = check.id
-
-    def is_constant_eit() -> bool:
-        return fam == "type3ev" or (fam == "linearmit" and p["beta"] == 0.0)
-
-    if tid in (TheoremId.T2_1, TheoremId.T2_7, TheoremId.T2_8, TheoremId.T3_1,
-               TheoremId.T4_1, TheoremId.T4_2, TheoremId.T4_3, TheoremId.T4_4):
-        return is_constant_eit()
-    if tid is TheoremId.T2_2:
-        return fam in ("power", "uniform")
-    if tid is TheoremId.T2_4:
-        return fam == "invweibull" and p["delta"] == float(check.k - 1)
-    if tid is TheoremId.T2_5:
-        return fam == "truncevpower"
-    if tid is TheoremId.T2_6:
-        return fam == "basealinkedrhr" and p["a_base"] == check.base
-    if tid is TheoremId.T2_9:
-        return fam == "reflweibull" and p["k"] == 1.0
-    if tid is TheoremId.T2_10:
-        return fam == "reflweibull" and p["k"] == float(check.k)
-    if tid is TheoremId.T3_4:
-        return fam in ("power", "uniform") or (fam == "linearmit" and p["alpha"] == 0.0)
-    if tid is TheoremId.T3_5:
-        a, bt = check.alpha, check.beta
-        if fam == "type3ev":
-            return bt == 0.0
-        if fam in ("power", "uniform"):
-            return a == 0.0
-        if fam == "linearmit":
-            return p["alpha"] * bt == p["beta"] * a
-        return False
-    return False
+    row = _row(check.id)
+    return not row.suspect and row.equality(check, model.spec.family, model.spec.params)
 
 
 def claimed_equality_pair(check: CheckSpec, model: DistributionModel) -> bool:
     """expected_equality_pair plus the suspect checks' printed claims."""
-    if expected_equality_pair(check, model):
-        return True
-    fam = model.spec.family
-    p = model.spec.params
-    tid = check.id
-    if tid is TheoremId.T3_2:
-        return fam == "finiterange" and p["k"] == 1.0
-    if tid is TheoremId.T3_3:
-        return fam == "finiterange" and p["k"] == float(check.k)
-    if tid is TheoremId.T3_6:
-        return fam == "explinkedeit"
-    if tid is TheoremId.T3_7:
-        return fam == "basealinkedeit" and p["a_base"] == check.base
-    return False
+    return _row(check.id).equality(check, model.spec.family, model.spec.params)
 
 
 # --------------------------------------------------------- check runner
-
-def _rhr_callable(model: DistributionModel) -> Callable[[float], float]:
-    if model.rhr is not None:
-        return model.rhr
-    return lambda x: numeric_rhr(model, x)
-
-
-def _eit_callable(model: DistributionModel) -> Callable[[float], float]:
-    if model.eit is not None:
-        return model.eit
-    return lambda x: numeric_eit(model, x)
-
-
-def _rai_callable(model: DistributionModel) -> Callable[[float], float]:
-    if model.rai is not None:
-        return model.rai
-    upper = model.support.upper
-    phi = _rhr_callable(model)
-
-    def generic(x: float) -> float:
-        log_cdf_val = model.log_cdf(x)
-        if abs(log_cdf_val) < 1e-12:
-            return 1.0
-        return (x - upper) * phi(x) / log_cdf_val
-
-    return generic
-
-
-# Factor integrands are assembled in log-magnitude space with an explicit
-# sign.  Component-wise evaluation like 1/(x^2 * rhr(x)) dies long before
-# the value does: x^2 underflows to 0 around 1e-154 and the reciprocal
-# becomes inf at nodes where the true weight (1/(c*x) after cancellation)
-# is perfectly representable, which the engine then misreads as an
-# endpoint blow-up.  Summing logs and exponentiating once degrades to
-# 0.0 or inf only when the weight value itself leaves float range.
-def _log_x_weight(check: CheckSpec) -> Tuple[Callable[[float], float],
-                                             Callable[[float], float]]:
-    """(log|w|, sign of w) for the check's x-weight."""
-    tid = check.id
-    plus = lambda x: 1.0
-    sign_x = lambda x: 1.0 if x > 0.0 else -1.0
-    if tid in (TheoremId.T2_1, TheoremId.T3_1, TheoremId.T4_1, TheoremId.T4_3):
-        return (lambda x: 0.0), plus
-    if tid in (TheoremId.T2_2, TheoremId.T3_2, TheoremId.T2_7):
-        return (lambda x: math.log(abs(x))), sign_x
-    if tid in (TheoremId.T2_4, TheoremId.T3_3, TheoremId.T2_8,
-               TheoremId.T4_2, TheoremId.T4_4):
-        k = check.k
-        return (lambda x: k * math.log(abs(x))), (plus if k % 2 == 0 else sign_x)
-    if tid in (TheoremId.T2_5, TheoremId.T3_6):
-        return (lambda x: x), plus
-    if tid in (TheoremId.T2_6, TheoremId.T3_7):
-        log_base = math.log(check.base)
-        return (lambda x: x * log_base), plus
-    if tid in (TheoremId.T2_9, TheoremId.T3_4):
-        return (lambda x: -math.log(abs(x))), sign_x
-    if tid is TheoremId.T2_10:
-        k = check.k  # odd
-        return (lambda x: -k * math.log(abs(x))), sign_x
-    if tid is TheoremId.T3_5:
-        a, bt = check.alpha, check.beta
-        return (lambda x: -math.log(abs(a + bt * x))), \
-               (lambda x: 1.0 if a + bt * x > 0.0 else -1.0)
-    raise ParameterError(f"no weight for {tid!r}")
-
 
 def _signed_exp(sign: float, mag: float) -> float:
     try:
@@ -510,10 +490,10 @@ def _signed_exp(sign: float, mag: float) -> float:
 
 
 def _factors(check: CheckSpec, model: DistributionModel) -> Tuple[Callable[[float], float], ...]:
-    tid = check.id
-    lw, sgn = _log_x_weight(check)
+    row = _row(check.id)
+    lw, sgn = row.weight(check)
     if check.kind == _KIND_PRODUCT:
-        g = _eit_callable(model) if tid.value.startswith("T3") else _rhr_callable(model)
+        g = _functional(model, row.functional)
 
         def linked(x: float) -> float:
             return _signed_exp(sgn(x), lw(x) + math.log(g(x)))
@@ -523,12 +503,11 @@ def _factors(check: CheckSpec, model: DistributionModel) -> Tuple[Callable[[floa
 
         return (reciprocal, linked)
     if check.kind == _KIND_MOMENT:
-        phi = _rhr_callable(model)
+        phi = _functional(model, row.functional)
         return (lambda x: _signed_exp(sgn(x), lw(x) + math.log(phi(x))),)
     # mixed products
-    phi = _rhr_callable(model)
-    other = _rai_callable(model) if tid in (TheoremId.T4_3, TheoremId.T4_4) \
-        else _eit_callable(model)
+    phi = _functional(model, "rhr")
+    other = _functional(model, row.functional)
 
     def over(x: float) -> float:
         return _signed_exp(sgn(x), lw(x) + math.log(other(x)) - math.log(phi(x)))
@@ -546,14 +525,14 @@ def _rhs(check: CheckSpec, model: DistributionModel) -> float:
     if kind == _KIND_MIXED_MUSQ:
         mu_k = raw_moment(model, check.k)
         return mu_k * mu_k
-    # moment bounds
+    # moment bounds; mu_k^2 appears over the x^k weights, not the x^-k ones
     k = check.k
     b = model.support.upper
     denom = b ** (k + 1) - raw_moment(model, k + 1)
     if denom == 0.0:
         raise DivergentMoment(
             f"degenerate moment denominator b^{k + 1} - mu_{k + 1} = 0")
-    if check.id in (TheoremId.T2_7, TheoremId.T2_8):
+    if _row(check.id).weight is _X_TO_K:
         mu_k = raw_moment(model, k)
         return (k + 1) * mu_k * mu_k / denom
     return (k + 1) / denom
@@ -566,13 +545,8 @@ def _support_mismatch(check: CheckSpec, model: DistributionModel) -> Optional[st
     if check.support_requirement is SupportRequirement.FiniteB and not math.isfinite(hi):
         return "support is unbounded above"
     # ratio weights must keep one sign on the interior
-    if check.id is TheoremId.T3_4 and lo < 0.0 < hi:
-        return "weight 1/x changes sign inside the support"
-    if check.id is TheoremId.T3_5 and check.beta != 0.0:
-        root = -check.alpha / check.beta
-        if lo < root < hi:
-            return "weight 1/(alpha+beta*x) changes sign inside the support"
-    return None
+    guard = _row(check.id).sign_guard
+    return None if guard is None else guard(check, lo, hi)
 
 
 def run_check(check: CheckSpec, model: DistributionModel,

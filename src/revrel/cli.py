@@ -63,11 +63,25 @@ class RunConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     eq_tol: float = 1e-4
-    seed: int = 0
     trim: float = 0.05
     fmt: str = "json"
     out: Optional[str] = None
     sample_path: Optional[str] = None
+
+
+_FLAGS = {
+    "--family": dict(action="append", dest="families", metavar="TEXT",
+                     help="family in text form, e.g. power:b=1,c=2 (repeatable)"),
+    "--theorem": dict(action="append", dest="theorems", metavar="ID",
+                      help="check id filter, e.g. T2_1 (repeatable)"),
+    "--grid": dict(type=int, help="table grid size (>= 8)"),
+    "--rel-tol": dict(type=float, dest="rel_tol"),
+    "--abs-tol": dict(type=float, dest="abs_tol"),
+    "--eq-tol": dict(type=float, dest="eq_tol",
+                     help="relative half-width of the equality band"),
+    "--trim": dict(type=float,
+                   help="fraction of the sample head excluded from gap statistics"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,49 +89,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="revrel",
         description="Reversed-time functional checks for right-truncated models.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, default_fmt: str) -> None:
-        p.add_argument("--family", action="append", default=None, metavar="TEXT",
-                       help="family in text form, e.g. power:b=1,c=2 (repeatable)")
-        p.add_argument("--theorem", action="append", default=None, metavar="ID",
-                       help="check id filter, e.g. T2_1 (repeatable)")
-        p.add_argument("--grid", type=int, default=16, help="table grid size (>= 8)")
-        p.add_argument("--rel-tol", type=float, default=1e-9, dest="rel_tol")
-        p.add_argument("--abs-tol", type=float, default=1e-12, dest="abs_tol")
-        p.add_argument("--eq-tol", type=float, default=1e-4, dest="eq_tol",
-                       help="relative half-width of the equality band")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampling-based work")
-        p.add_argument("--trim", type=float, default=0.05,
-                       help="fraction of the sample head excluded from gap statistics")
-        p.add_argument("--format", choices=("json", "csv"), default=default_fmt,
-                       dest="fmt")
-        p.add_argument("--out", default=None, metavar="PATH",
+    # each subcommand takes only the flags it reads; an unset flag leaves
+    # the RunConfig default in place
+    for name, help_text, fmt, flags in (
+            ("verify", "run the inequality check matrix", "json",
+             ("--family", "--theorem", "--rel-tol", "--abs-tol", "--eq-tol")),
+            ("table", "tabulate the functionals of one family", "csv", ("--family", "--grid")),
+            ("identify", "rank candidate families for a sample", "json", ("--trim",))):
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        if name == "identify":
+            p.add_argument("sample_path", metavar="sample",
+                           help="text file, one value per line, # comments")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--format", choices=("json", "csv"), default=fmt, dest="fmt")
+        p.add_argument("--out", metavar="PATH",
                        help="write the report here instead of stdout")
-
-    common(sub.add_parser("verify", help="run the inequality check matrix"), "json")
-    common(sub.add_parser("table", help="tabulate the functionals of one family"), "csv")
-    p_id = sub.add_parser("identify", help="rank candidate families for a sample")
-    p_id.add_argument("sample", help="text file, one value per line, # comments")
-    common(p_id, "json")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        families=list(args.family or []),
-        theorems=list(args.theorem or []),
-        grid=args.grid,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        eq_tol=args.eq_tol,
-        seed=args.seed,
-        trim=args.trim,
-        fmt=args.fmt,
-        out=args.out,
-        sample_path=getattr(args, "sample", None),
-    )
+    cfg = RunConfig(**vars(args))
     if not cfg.rel_tol > 0.0:
         raise _ConfigError(f"--rel-tol must be positive, got {cfg.rel_tol!r}")
     if not cfg.abs_tol > 0.0:
@@ -248,11 +240,8 @@ def main(argv: Optional[Sequence[str]] = None,
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
-        if cfg.command == "verify":
-            return cmd_verify(cfg, stdout, stderr)
-        if cfg.command == "table":
-            return cmd_table(cfg, stdout, stderr)
-        return cmd_identify(cfg, stdout, stderr)
+        command = {"verify": cmd_verify, "table": cmd_table, "identify": cmd_identify}
+        return command[cfg.command](cfg, stdout, stderr)
     except (_ConfigError, RevrelError) as exc:
         stderr.write(f"error: {exc}\n")
         return 1

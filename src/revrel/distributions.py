@@ -15,14 +15,14 @@ divergence probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
 import scipy.special as sc
 from scipy.optimize import brentq
 
-from .errors import DivergentMoment, DomainError, ParameterError, SupportError
+from .errors import DivergentMoment, DomainError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,6 @@ class DistributionModel:
     eit: Optional[Callable[[float], float]] = None
     rai: Optional[Callable[[float], float]] = None
     moments: Optional[Callable[[int], float]] = None
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    mu: float
-    sigma2: float
-    raw: Mapping[int, float]
-    eta: Optional[float] = None      # upper endpoint over the mean, when defined
-    c_ratio: Optional[float] = None  # sd over the mean, when defined
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +139,23 @@ def _as_int(params, key, family, minimum):
     return iv
 
 
+def _cdf_from_log(log_cdf):
+    """exp(log_cdf(t)), flushed to exact 0 where log_cdf falls below about -745."""
+    def cdf(t):
+        lf = log_cdf(t)
+        return 0.0 if lf < -745.0 else math.exp(lf)
+    return cdf
+
+
 def _build_type3ev(params):
     gamma = _as_positive(params, "gamma", "type3ev")
     b = _as_finite(params, "b", "type3ev")
     if b < 0.0:
         raise ParameterError(f"type3ev needs b >= 0, got {b!r}")
+    return _constant_rate(gamma, b)
 
+
+def _constant_rate(gamma, b):
     log_gamma = math.log(gamma)
 
     def log_cdf(t):
@@ -227,30 +229,10 @@ def _build_power(params):
 
 
 def _build_uniform(params):
+    # power with c = 1; cdf and pdf keep the exact quotients t/b and 1/b
     b = _as_positive(params, "b", "uniform")
-
-    def rai(t):
-        if t >= b:
-            return 1.0
-        return (b - t) / (t * math.log(b / t))
-
-    def moments(r):
-        if r <= -1:
-            raise DivergentMoment("uniform moment of order <= -1 diverges")
-        return b ** r / (1.0 + r)
-
-    return DistributionModel(
-        spec=FamilySpec("uniform", {"b": b}),
-        support=SupportInterval(0.0, b),
-        cdf=lambda t: t / b,
-        pdf=lambda t: 1.0 / b,
-        quantile=lambda p: p * b,
-        log_cdf=lambda t: math.log(t / b),
-        rhr=lambda t: 1.0 / t,
-        eit=lambda t: 0.5 * t,
-        rai=rai,
-        moments=moments,
-    )
+    return replace(_build_power({"b": b, "c": 1.0}), spec=FamilySpec("uniform", {"b": b}),
+                   cdf=lambda t: t / b, pdf=lambda t: 1.0 / b)
 
 
 def _build_invweibull(params):
@@ -268,10 +250,6 @@ def _build_invweibull(params):
         if zl > 709.0:
             return -math.inf
         return -math.exp(zl)
-
-    def cdf(t):
-        lf = log_cdf(t)
-        return 0.0 if lf < -745.0 else math.exp(lf)
 
     def pdf(t):
         zl = _z_log(t)
@@ -305,7 +283,7 @@ def _build_invweibull(params):
     return DistributionModel(
         spec=FamilySpec("invweibull", {"nu": nu, "delta": delta}),
         support=SupportInterval(0.0, math.inf),
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
+        cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=rhr, eit=eit, rai=None, moments=moments,
     )
 
@@ -320,10 +298,6 @@ def _build_truncevpower(params):
         if u > 700.0:
             return -math.inf
         return -alpha * (math.exp(u) - emb)
-
-    def cdf(t):
-        lf = log_cdf(t)
-        return 0.0 if lf < -745.0 else math.exp(lf)
 
     def pdf(t):
         u = -t
@@ -350,7 +324,7 @@ def _build_truncevpower(params):
     return DistributionModel(
         spec=FamilySpec("truncevpower", {"alpha": alpha, "b": b}),
         support=SupportInterval(-math.inf, b),
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
+        cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=rhr, eit=eit, rai=None, moments=None,
     )
 
@@ -372,10 +346,6 @@ def _build_basealinkedrhr(params):
         if yl > 700.0:
             return -math.inf
         return -(math.exp(yl) - yb)
-
-    def cdf(t):
-        lf = log_cdf(t)
-        return 0.0 if lf < -745.0 else math.exp(lf)
 
     def pdf(t):
         yl = _y_log(t)
@@ -399,7 +369,7 @@ def _build_basealinkedrhr(params):
     return DistributionModel(
         spec=FamilySpec("basealinkedrhr", {"theta": theta, "a_base": a, "b": b}),
         support=SupportInterval(-math.inf, b),
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
+        cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=rhr, eit=eit, rai=None, moments=None,
     )
 
@@ -424,10 +394,6 @@ def _build_reflweibull(params):
         if wl > 709.0:
             return -math.inf
         return -math.exp(wl)
-
-    def cdf(t):
-        lf = log_cdf(t)
-        return 0.0 if lf < -745.0 else math.exp(lf)
 
     def pdf(t):
         if t == 0.0:
@@ -463,7 +429,7 @@ def _build_reflweibull(params):
     return DistributionModel(
         spec=FamilySpec("reflweibull", {"theta": theta, "k": float(k)}),
         support=SupportInterval(-math.inf, 0.0),
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
+        cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=rhr, eit=eit, rai=lambda t: float(kp1), moments=moments,
     )
 
@@ -519,39 +485,15 @@ def _build_linearmit(params):
     alpha = _as_finite(params, "alpha", "linearmit")
     beta = _as_finite(params, "beta", "linearmit")
     b = _as_finite(params, "b", "linearmit")
+    spec = FamilySpec("linearmit", {"xi": xi, "alpha": alpha, "beta": beta, "b": b})
 
     if beta == 0.0:
         if alpha <= 0.0:
             raise ParameterError("linearmit with beta=0 needs alpha > 0")
-        # the shape is the constant-rate model, but keep the linearmit
-        # identity in the FamilySpec so callers see what they asked for
-        gamma = 1.0 / (xi * alpha)
-
-        def log_cdf(t):
-            return gamma * (t - b)
-
-        def pdf(t):
-            lp = math.log(gamma) + gamma * (t - b)
-            return 0.0 if lp < -745.0 else math.exp(lp)
-
-        def moments(r):
-            acc = 0.0
-            for j in range(r + 1):
-                acc += math.comb(r, j) * b ** (r - j) * (-1.0 / gamma) ** j * math.factorial(j)
-            return acc
-
-        return DistributionModel(
-            spec=FamilySpec("linearmit", {"xi": xi, "alpha": alpha, "beta": beta, "b": b}),
-            support=SupportInterval(-math.inf, b),
-            cdf=lambda t: math.exp(gamma * (t - b)),
-            pdf=pdf,
-            quantile=lambda p: b + np.log(p) / gamma,
-            log_cdf=log_cdf,
-            rhr=lambda t: gamma,
-            eit=lambda t: xi * alpha,
-            rai=lambda t: 1.0,
-            moments=moments,
-        )
+        # the constant-rate model under the linearmit identity, with the
+        # inactivity time as the family states it
+        return replace(_constant_rate(1.0 / (xi * alpha), b), spec=spec,
+                       eit=lambda t: xi * alpha)
 
     vb = alpha + beta * b
     if vb <= 0.0:
@@ -595,7 +537,7 @@ def _build_linearmit(params):
         return acc / beta ** r
 
     return DistributionModel(
-        spec=FamilySpec("linearmit", {"xi": xi, "alpha": alpha, "beta": beta, "b": b}),
+        spec=spec,
         support=support,
         cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=lambda t: q * beta / (alpha + beta * t),
@@ -612,10 +554,6 @@ def _build_explinkedeit(params):
 
     def log_cdf(t):
         return (t - b) + theta * (math.exp(t) - eb)
-
-    def cdf(t):
-        lf = log_cdf(t)
-        return 0.0 if lf < -745.0 else math.exp(lf)
 
     def pdf(t):
         lf = log_cdf(t)
@@ -635,7 +573,7 @@ def _build_explinkedeit(params):
     return DistributionModel(
         spec=FamilySpec("explinkedeit", {"theta": theta, "b": b}),
         support=SupportInterval(-math.inf, b),
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
+        cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=lambda t: 1.0 + theta * math.exp(t),
         eit=eit, rai=None, moments=None,
     )
@@ -654,10 +592,6 @@ def _build_basealinkedeit(params):
 
     def log_cdf(t):
         return gamma * (t - b) + delta * (math.exp(t * ln_a) - ab)
-
-    def cdf(t):
-        lf = log_cdf(t)
-        return 0.0 if lf < -745.0 else math.exp(lf)
 
     def pdf(t):
         lf = log_cdf(t)
@@ -687,7 +621,7 @@ def _build_basealinkedeit(params):
         spec=FamilySpec("basealinkedeit",
                         {"gamma": gamma, "delta": delta, "a_base": a, "b": b}),
         support=SupportInterval(-math.inf, b),
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
+        cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=lambda t: gamma + delta * ln_a * math.exp(t * ln_a),
         eit=eit, rai=None, moments=None,
     )
@@ -798,14 +732,6 @@ def cdf_at(model: DistributionModel, t: float) -> float:
     return float(model.cdf(t))
 
 
-def pdf_at(model: DistributionModel, t: float) -> float:
-    if not (model.support.lower < t < model.support.upper):
-        raise SupportError(
-            f"t={t!r} outside the open support "
-            f"({model.support.lower!r}, {model.support.upper!r})")
-    return float(model.pdf(t))
-
-
 def quantile_at(model: DistributionModel, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile needs 0 < p < 1, got {p!r}")
@@ -823,17 +749,3 @@ def raw_moment(model: DistributionModel, r: int) -> float:
         raise DivergentMoment(
             f"moment of order {r} did not converge for {format_family(model.spec)}")
     return res.value
-
-
-def moment_set(model: DistributionModel, ks: Tuple[int, ...] = ()) -> MomentSet:
-    orders = sorted(set(ks) | {1, 2})
-    raw = {r: raw_moment(model, r) for r in orders}
-    mu = raw[1]
-    sigma2 = raw[2] - mu * mu
-    eta = None
-    c_ratio = None
-    if mu != 0.0:
-        if math.isfinite(model.support.upper):
-            eta = model.support.upper / mu + 0.0  # normalize -0.0
-        c_ratio = math.sqrt(max(sigma2, 0.0)) / mu
-    return MomentSet(mu=mu, sigma2=sigma2, raw=raw, eta=eta, c_ratio=c_ratio)

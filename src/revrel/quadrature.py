@@ -23,8 +23,10 @@ past the double-precision node horizon (exponents within ~1e-6 of a
 divergent power) are reported Divergent by the decay heuristic; that is a
 documented limitation of the classification, not of the estimate.
 
-Semi-infinite integrals map onto (0, 1) via x = hi - u/(1-u) and reuse the
-finite-interval machinery.
+One pass serves finite intervals and half lines through two node maps,
+x = lo + q*(hi - lo) and x = anchor +/- u/(1-u) (see _build_levels). Only
+the split rule differs: a finite interval is halved, a half line peels off
+a finite chunk next to its anchor.
 """
 
 from __future__ import annotations
@@ -89,7 +91,19 @@ _EVAL_BUDGET = 400_000
 
 
 def _build_levels(max_level):
-    levels = []
+    """Per-level node tables (t, frame, q, w, om) of the finite and half-line maps.
+
+    A node sits at x = base + step*q for its frame's (base, step), and its
+    du weight w is divided by the Jacobian factor om twice.  A finite
+    interval (lo, hi) has frames (lo, hi - lo) and (hi, -(hi - lo)), q is
+    the node's fraction of the length to its nearest endpoint, and om = 1.
+    A half line maps x = anchor + sign*u/(1-u), Jacobian 1/(1-u)**2, through
+    the one frame (anchor, sign).  Its u/(1-u) and 1-u come from the
+    endpoint-distance fractions instead of from u as a float, so the far
+    tail keeps its full double-exponential reach (|x| up to ~1e275) instead
+    of being clipped at 1/ulp.
+    """
+    finite, half_line = [], []
     for k in range(max_level + 1):
         h = 0.5 ** k
         ts = []
@@ -102,7 +116,8 @@ def _build_levels(max_level):
                 ts.append(j * h)
                 ts.append(-j * h)
                 j += 2
-        nodes = []
+        finite.append([])
+        half_line.append([])
         for t in ts:
             s = 0.5 * math.pi * math.sinh(t)
             em = math.exp(-2.0 * abs(s))
@@ -111,12 +126,14 @@ def _build_levels(max_level):
             w = math.pi * math.cosh(t) * near * far
             if near == 0.0 or w == 0.0:
                 continue
-            nodes.append((t, near, w))
-        levels.append(tuple(nodes))
-    return tuple(levels)
+            finite[-1].append((t, 0 if t <= 0.0 else 1, near, w, 1.0))
+            # 1 - near is exact: near <= 0.5 by construction
+            u, om = (near, 1.0 - near) if t < 0.0 else (1.0 - near, near)
+            half_line[-1].append((t, 0, u / om, w, om))
+    return tuple(map(tuple, finite)), tuple(map(tuple, half_line))
 
 
-_LEVELS = _build_levels(_ROOT_LEVELS)
+_FINITE_NODES, _HALF_LINE_NODES = _build_levels(_ROOT_LEVELS)
 
 
 def _safe_eval(f, x):
@@ -141,20 +158,14 @@ def _fit_slope(points):
     return num / den
 
 
-class _Pass:
-    """Outcome of one tanh-sinh sweep over a single interval."""
+def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
+    """One tanh-sinh sweep over the nodes of one map that fall inside (lo, hi).
 
-    __slots__ = ("kind", "value", "err", "evaluations")
-
-    def __init__(self, kind, value, err, evaluations):
-        self.kind = kind          # converged | divergent | trouble | stalled
-        self.value = value
-        self.err = err
-        self.evaluations = evaluations
-
-
-def _tanh_sinh_pass(f, lo, hi, tol, levels_cap, budget):
-    length = hi - lo
+    The level sum is scaled by h and then by length (1 on a half line).
+    Status MaxDepth means the sweep settled nothing: a non-finite value away
+    from the endpoints, or the level cap or the evaluation budget reached.
+    """
+    levels_cap = _ROOT_LEVELS if depth == 0 else _CHILD_LEVELS
     total_wf = 0.0
     s_prev = math.nan
     err = math.inf
@@ -167,34 +178,36 @@ def _tanh_sinh_pass(f, lo, hi, tol, levels_cap, budget):
     for k in range(levels_cap + 1):
         h = 0.5 ** k
         new_wf = 0.0
-        for (t, near, w) in _LEVELS[k]:
-            if t < 0.0:
-                x = lo + near * length
-            elif t > 0.0:
-                x = hi - near * length
-            else:
-                x = lo + 0.5 * length
+        for (t, frame, q, w, om) in nodes[k]:
+            base, step = frames[frame]
+            x = base + step * q
             if x <= lo or x >= hi:
                 continue  # node rounded onto an endpoint, open rule skips it
             fx = _safe_eval(f, x)
             evaluations += 1
             budget[0] -= 1
+            if fx == 0.0:
+                continue  # no mass; only a non-zero node can end a pass on the budget
             g = fx * w
+            if om != 1.0:  # dividing by 1 is exact, so finite nodes skip it
+                g = g / om / om
             if not math.isfinite(g):
                 if abs(t) >= _T_MAX - _TAIL_WINDOW:
                     if math.isnan(g):
                         continue  # 0*inf artifact at an extreme node, no real mass
                     # blow-up right at an endpoint that the open rule cannot absorb
-                    return _Pass("divergent", total_wf * h * length, math.inf, evaluations)
-                return _Pass("trouble", total_wf * h * length, math.inf, evaluations)
-            new_wf += fx * w
+                    return QuadResult(total_wf * h * length, math.inf,
+                                      QuadStatus.Divergent, evaluations)
+                return QuadResult(total_wf * h * length, math.inf,
+                                  QuadStatus.MaxDepth, evaluations)
+            new_wf += g
             if abs(t) >= _T_MAX - _TAIL_WINDOW and g != 0.0:
                 side = -1 if t < 0.0 else 1
                 tail[side].append((abs(t), math.log(abs(g))))
                 tail_abs_sum += abs(g)
             if budget[0] <= 0:
-                s = (total_wf + new_wf) * h * length
-                return _Pass("stalled", s, err, evaluations)
+                return QuadResult((total_wf + new_wf) * h * length, err,
+                                  QuadStatus.MaxDepth, evaluations)
         total_wf += new_wf
         s_cur = total_wf * h * length
         target = max(tol.abs_tol, tol.rel_tol * abs(s_cur))
@@ -205,25 +218,32 @@ def _tanh_sinh_pass(f, lo, hi, tol, levels_cap, budget):
             if abs(s_cur) > _GROWTH_FACTOR * abs(s_prev) and abs(s_cur) > 10.0 * tol.abs_tol:
                 growth_run += 1
                 if growth_run >= _GROWTH_RUNS:
-                    return _Pass("divergent", s_cur, math.inf, evaluations)
+                    return QuadResult(s_cur, math.inf, QuadStatus.Divergent, evaluations)
             else:
                 growth_run = 0
             for side in (-1, 1):
                 pts = tail[side]
                 if len(pts) >= 3 and tail_mass > target:
                     if _fit_slope(pts) > _TAIL_SLOPE:
-                        return _Pass("divergent", s_cur, math.inf, evaluations)
+                        return QuadResult(s_cur, math.inf, QuadStatus.Divergent, evaluations)
             if k >= _MIN_LEVEL and err <= target and tail_mass <= target:
-                return _Pass("converged", s_cur, max(err, tail_mass), evaluations)
+                return QuadResult(s_cur, max(err, tail_mass), QuadStatus.Converged,
+                                  evaluations)
         s_prev = s_cur
 
-    return _Pass("stalled", s_prev, err, evaluations)
+    return QuadResult(s_prev, err, QuadStatus.MaxDepth, evaluations)
 
 
-def _combine(left: QuadResult, right: QuadResult, tol: Tolerances) -> QuadResult:
+def _settled(p: QuadResult, depth: int, budget) -> bool:
+    """Whether a pass result stands as it is, or its interval should be split."""
+    return p.status is not QuadStatus.MaxDepth or depth >= _MAX_DEPTH or budget[0] <= 0
+
+
+def _combine(left: QuadResult, right: QuadResult, tol: Tolerances,
+             pass_evaluations: int) -> QuadResult:
     value = left.value + right.value
     err = left.err_estimate + right.err_estimate
-    evaluations = left.evaluations + right.evaluations
+    evaluations = left.evaluations + right.evaluations + pass_evaluations
     if left.status is QuadStatus.Divergent or right.status is QuadStatus.Divergent:
         status = QuadStatus.Divergent
     elif left.status is QuadStatus.MaxDepth or right.status is QuadStatus.MaxDepth:
@@ -238,21 +258,17 @@ def _combine(left: QuadResult, right: QuadResult, tol: Tolerances) -> QuadResult
 
 
 def _integrate(f, lo, hi, tol, depth, budget) -> QuadResult:
-    cap = _ROOT_LEVELS if depth == 0 else _CHILD_LEVELS
-    p = _tanh_sinh_pass(f, lo, hi, tol, cap, budget)
-    if p.kind == "converged":
-        return QuadResult(p.value, p.err, QuadStatus.Converged, p.evaluations)
-    if p.kind == "divergent":
-        return QuadResult(p.value, math.inf, QuadStatus.Divergent, p.evaluations)
-    if depth >= _MAX_DEPTH or budget[0] <= 0:
-        return QuadResult(p.value, p.err, QuadStatus.MaxDepth, p.evaluations)
+    length = hi - lo
+    p = _pass(f, _FINITE_NODES, ((lo, length), (hi, -length)), lo, hi, length,
+              tol, depth, budget)
+    if _settled(p, depth, budget):
+        return p
     mid = 0.5 * (lo + hi)
     if not (lo < mid < hi):
-        return QuadResult(p.value, p.err, QuadStatus.MaxDepth, p.evaluations)
+        return p
     left = _integrate(f, lo, mid, tol, depth + 1, budget)
     right = _integrate(f, mid, hi, tol, depth + 1, budget)
-    out = _combine(left, right, tol)
-    return QuadResult(out.value, out.err_estimate, out.status, out.evaluations + p.evaluations)
+    return _combine(left, right, tol, p.evaluations)
 
 
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
@@ -267,104 +283,20 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
         raise ParameterError("integrate_finite needs finite endpoints")
     if not lo < hi:
         raise ParameterError("integrate_finite needs lo < hi")
-    t = tol or DEFAULT_TOL
-    return _integrate(f, lo, hi, t, 0, [_EVAL_BUDGET])
+    return _integrate(f, lo, hi, tol or DEFAULT_TOL, 0, [_EVAL_BUDGET])
 
 
-def _half_line_pass(f, anchor, sign, tol, levels_cap, budget):
-    # Substituting x = anchor + sign*u/(1-u) maps (0,1) onto the half line.
-    # The pass below works directly in the endpoint-distance fractions of the
-    # tanh-sinh nodes instead of forming u and 1-u as floats, so the far tail
-    # keeps its full double-exponential reach (|x| up to ~1e275) instead of
-    # being clipped at 1/ulp.
-    total_wf = 0.0
-    s_prev = math.nan
-    err = math.inf
-    growth_run = 0
-    evaluations = 0
-    tail = {-1: [], 1: []}
-    tail_abs_sum = 0.0
-
-    for k in range(levels_cap + 1):
-        h = 0.5 ** k
-        new_wf = 0.0
-        for (t, near, w) in _LEVELS[k]:
-            far = 1.0 - near  # exact: near <= 0.5 by construction
-            if t < 0.0:
-                u, om = near, far      # x close to the anchor
-            else:
-                u, om = far, near      # x off toward the infinite end
-            x = anchor + sign * (u / om)
-            if x == anchor:
-                continue
-            fx = _safe_eval(f, x)
-            evaluations += 1
-            budget[0] -= 1
-            if fx == 0.0:
-                continue
-            # w = pi*cosh(t)*near*far is the du weight; the jacobian is 1/om**2
-            g = (fx * w / om) / om
-            if not math.isfinite(g):
-                if abs(t) >= _T_MAX - _TAIL_WINDOW:
-                    if math.isnan(g):
-                        continue  # 0*inf artifact at an extreme node, no real mass
-                    return _Pass("divergent", total_wf * h, math.inf, evaluations)
-                return _Pass("trouble", total_wf * h, math.inf, evaluations)
-            new_wf += g
-            if abs(t) >= _T_MAX - _TAIL_WINDOW and g != 0.0:
-                side = -1 if t < 0.0 else 1
-                tail[side].append((abs(t), math.log(abs(g))))
-                tail_abs_sum += abs(g)
-            if budget[0] <= 0:
-                return _Pass("stalled", (total_wf + new_wf) * h, err, evaluations)
-        total_wf += new_wf
-        s_cur = total_wf * h
-        target = max(tol.abs_tol, tol.rel_tol * abs(s_cur))
-        tail_mass = tail_abs_sum * h
-
-        if not math.isnan(s_prev):
-            err = abs(s_cur - s_prev)
-            if abs(s_cur) > _GROWTH_FACTOR * abs(s_prev) and abs(s_cur) > 10.0 * tol.abs_tol:
-                growth_run += 1
-                if growth_run >= _GROWTH_RUNS:
-                    return _Pass("divergent", s_cur, math.inf, evaluations)
-            else:
-                growth_run = 0
-            for side in (-1, 1):
-                pts = tail[side]
-                if len(pts) >= 3 and tail_mass > target:
-                    if _fit_slope(pts) > _TAIL_SLOPE:
-                        return _Pass("divergent", s_cur, math.inf, evaluations)
-            if k >= _MIN_LEVEL and err <= target and tail_mass <= target:
-                return _Pass("converged", s_cur, max(err, tail_mass), evaluations)
-        s_prev = s_cur
-
-    return _Pass("stalled", s_prev, err, evaluations)
-
-
-def _half_line(f, anchor, sign, tol, depth=0, budget=None) -> QuadResult:
-    if budget is None:
-        budget = [_EVAL_BUDGET]
-    cap = _ROOT_LEVELS if depth == 0 else _CHILD_LEVELS
-    p = _half_line_pass(f, anchor, sign, tol, cap, budget)
-    if p.kind == "converged":
-        return QuadResult(p.value, p.err, QuadStatus.Converged, p.evaluations)
-    if p.kind == "divergent":
-        return QuadResult(p.value, math.inf, QuadStatus.Divergent, p.evaluations)
-    if depth >= _MAX_DEPTH or budget[0] <= 0:
-        return QuadResult(p.value, p.err, QuadStatus.MaxDepth, p.evaluations)
+def _half_line(f, anchor, sign, tol, depth, budget) -> QuadResult:
+    lo, hi = (anchor, math.inf) if sign > 0 else (-math.inf, anchor)
+    p = _pass(f, _HALF_LINE_NODES, ((anchor, sign),), lo, hi, 1.0, tol, depth, budget)
+    if _settled(p, depth, budget):
+        return p
     # peel off a finite chunk next to the anchor and push the anchor outward;
     # doubling offsets reach any finite trouble spot in O(log) splits
-    shift = 2.0 ** depth
-    cut = anchor + sign * shift
-    if sign > 0:
-        finite_part = _integrate(f, anchor, cut, tol, depth + 1, budget)
-    else:
-        finite_part = _integrate(f, cut, anchor, tol, depth + 1, budget)
+    cut = anchor + sign * 2.0 ** depth
+    finite_part = _integrate(f, min(anchor, cut), max(anchor, cut), tol, depth + 1, budget)
     rest = _half_line(f, cut, sign, tol, depth + 1, budget)
-    out = _combine(finite_part, rest, tol)
-    return QuadResult(out.value, out.err_estimate, out.status,
-                      out.evaluations + p.evaluations)
+    return _combine(finite_part, rest, tol, p.evaluations)
 
 
 def integrate_lower_unbounded(f: Callable[[float], float], hi: float,
@@ -372,7 +304,7 @@ def integrate_lower_unbounded(f: Callable[[float], float], hi: float,
     """Integral of f over (-inf, hi] via the substitution x = hi - u/(1-u)."""
     if not math.isfinite(hi):
         raise ParameterError("integrate_lower_unbounded needs a finite upper endpoint")
-    return _half_line(f, hi, -1.0, tol or DEFAULT_TOL)
+    return _half_line(f, hi, -1.0, tol or DEFAULT_TOL, 0, [_EVAL_BUDGET])
 
 
 def integrate_upper_unbounded(f: Callable[[float], float], lo: float,
@@ -380,7 +312,7 @@ def integrate_upper_unbounded(f: Callable[[float], float], lo: float,
     """Integral of f over [lo, inf), the mirror of integrate_lower_unbounded."""
     if not math.isfinite(lo):
         raise ParameterError("integrate_upper_unbounded needs a finite lower endpoint")
-    return _half_line(f, lo, 1.0, tol or DEFAULT_TOL)
+    return _half_line(f, lo, 1.0, tol or DEFAULT_TOL, 0, [_EVAL_BUDGET])
 
 
 def expectation(spec: ExpectationSpec, tol: Optional[Tolerances] = None) -> QuadResult:

@@ -106,6 +106,10 @@ def test_make_check_defaults():
     (TheoremId.T2_6, {"base": 1.0}),
     (TheoremId.T3_7, {"base": 0.5}),
     (TheoremId.T3_5, {"alpha": 0.0, "beta": 0.0}),
+    (TheoremId.T2_1, {"k": 3, "base": 7, "alpha": 2}),   # takes no parameters
+    (TheoremId.T2_9, {"k": 5}),        # k is fixed to 1
+    (TheoremId.T2_7, {"k": 2}),        # k is fixed to 1
+    (TheoremId.T2_6, {"k": 2}),        # takes base only
 ))
 def test_make_check_rejects_bad_parameters(theorem, kwargs):
     with pytest.raises(ParameterError):
@@ -310,8 +314,17 @@ def test_equality_family_constructions():
     assert m.spec.params["delta"] == pytest.approx(2.0)
     m = equality_family(TheoremId.T2_6, base=3.0)
     assert m.spec.params["a_base"] == 3.0
-    with pytest.raises(ParameterError):
-        equality_family(TheoremId.T2_1, nonsense=1.0)
+    m = equality_family(TheoremId.T2_10, k=5)
+    assert m.spec.params["k"] == 5.0
+    for theorem, kwargs in (
+        (TheoremId.T2_1, {"nonsense": 1.0}),
+        (TheoremId.T2_4, {"k": 2.7}),      # no longer truncated to k=2
+        (TheoremId.T2_9, {"k": 3}),        # k is fixed to 1 for T2_9
+        (TheoremId.T3_2, {"k": 2}),        # and for T3_2
+        (TheoremId.T2_8, {"k": 3}),        # the constant-rate family takes no k
+    ):
+        with pytest.raises(ParameterError):
+            equality_family(theorem, **kwargs)
 
 
 def test_every_nonsuspect_equality_family_achieves_equality():

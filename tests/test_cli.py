@@ -96,6 +96,10 @@ def test_verify_writes_out_file(tmp_path):
     (("identify", "nowhere.txt", "--trim", "1.5"), "trim"),
     (("table",), "family"),
     (("table", "--family", "power:b=1,c=2", "--family", "uniform:b=1"), "family"),
+    # each subcommand rejects the flags it does not read
+    (("verify", "--grid", "9"), "--grid"),
+    (("table", "--family", "power:b=1,c=2", "--theorem", "T2_1"), "--theorem"),
+    (("identify", "nowhere.txt", "--seed", "3"), "--seed"),
 ))
 def test_config_errors_exit_one_and_name_the_problem(argv, needle):
     code, _, err = run_cli(*argv)

