@@ -23,8 +23,6 @@ from .quadrature import (
     integrate_finite,
     integrate_lower_unbounded,
     integrate_upper_unbounded,
-    mc_expectation,
-    sample_inverse_cdf,
 )
 from .distributions import (
     DistributionModel,
@@ -36,7 +34,6 @@ from .distributions import (
     model_from_text,
     parse_family,
     quantile_at,
-    raw_moment,
 )
 from .functionals import (
     FunctionalProfile,
@@ -47,6 +44,7 @@ from .functionals import (
     numeric_rhr,
     rai,
     rai_integral_form,
+    raw_moment,
     rhr,
     rhr_eit_identity_residual,
 )
@@ -76,7 +74,9 @@ from .empirics import (
     empirical_eit,
     gap_statistics,
     identify,
+    mc_expectation,
     read_samples,
+    sample_inverse_cdf,
 )
 
 __version__ = "0.1.0"

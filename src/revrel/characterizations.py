@@ -52,10 +52,9 @@ from .distributions import (
     format_family,
     make_distribution,
     model_from_text,
-    raw_moment,
 )
 from .errors import DivergentMoment, ParameterError
-from .functionals import numeric_eit, numeric_rhr, rai
+from .functionals import rai, raw_moment
 from .quadrature import (
     DEFAULT_TOL,
     ExpectationSpec,
@@ -167,13 +166,10 @@ class CheckReport:
     note: str = ""
 
 
-_NUMERIC = {"rhr": numeric_rhr, "eit": numeric_eit, "rai": rai}
-
-
 def _functional(model: DistributionModel, name: str) -> Callable[[float], float]:
-    """The model's closed form of rhr, eit or rai, else the numeric definition."""
+    """The model's closed form of rhr, eit or rai; rai falls back to functionals.rai."""
     closed = getattr(model, name)
-    return closed if closed is not None else partial(_NUMERIC[name], model)
+    return closed if closed is not None else partial(rai, model)
 
 
 # ------------------------------------------------------------- x-weights
@@ -291,7 +287,8 @@ _ROWS: Dict[TheoremId, _Row] = {
                          _PRODUCT, _ANY, "rhr", _UNIT, _TYPE3EV, _constant_eit),
     TheoremId.T2_2: _Row("E[1/(X*rhr(X))] * E[X*rhr(X)] >= 1, X >= 0",
                          _PRODUCT, _NONNEG, "rhr", _X, _POWER,
-                         lambda c, fam, p: fam in ("power", "uniform")),
+                         lambda c, fam, p: fam in ("power", "uniform") or (
+                             fam == "linearmit" and p["alpha"] == 0.0 and p["beta"] > 0.0)),
     TheoremId.T2_4: _Row(
         "E[1/(X^{k}*rhr(X))] * E[X^{k}*rhr(X)] >= 1, X >= 0",
         _PRODUCT, _NONNEG, "rhr", _X_TO_K, ("invweibull", {"theta": 1.0}),

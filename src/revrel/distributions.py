@@ -1,15 +1,19 @@
 """Right-truncated distribution families with closed-form reversed-time functionals.
 
 Each family is built as a bundle of scalar closures (cdf, pdf, quantile,
-log-cdf) plus any closed forms known for the reversed hazard rate, the
-expected inactivity time, and raw moments. Numerical code elsewhere in the
-package treats the bundle as opaque: integration only ever touches cdf and
-pdf on the open support, so the closures are written to degrade cleanly
-(underflow to exact zero, never overflow) at extreme arguments.
+log-cdf, and the closed-form reversed hazard rate and expected inactivity
+time) plus the reversed aging intensity and raw moments where closed forms
+exist. Numerical code elsewhere in the package treats the bundle as opaque:
+integration only ever touches cdf and pdf on the open support, so the
+closures are written to degrade cleanly (underflow to exact zero, never
+overflow) at extreme arguments.
 
-The catalog covers every family that appears as an equality case somewhere
-in the check matrix, plus a uniform model that serves as the standard
-divergence probe.
+Each family is one row of ``_FAMILIES``: its builder and its parameters in
+canonical order with their admissible ranges. ``make_distribution`` checks
+a parameter set against the row; a builder only checks constraints that
+tie parameters together. The catalog covers every family that appears as
+an equality case in the check matrix, plus a uniform model that serves as
+the standard divergence probe.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ class DistributionModel:
     pdf: Callable[[float], float]
     quantile: Callable[[float], float]
     log_cdf: Callable[[float], float]
-    rhr: Optional[Callable[[float], float]] = None
-    eit: Optional[Callable[[float], float]] = None
+    rhr: Callable[[float], float]
+    eit: Callable[[float], float]
     rai: Optional[Callable[[float], float]] = None
     moments: Optional[Callable[[int], float]] = None
 
@@ -115,47 +119,16 @@ def _upper_gamma_exp(s: float, z: float) -> float:
 # ---------------------------------------------------------------------------
 # family builders
 
-def _as_positive(params, key, family):
-    v = float(params[key])
-    if not (v > 0.0 and math.isfinite(v)):
-        raise ParameterError(f"{family} needs {key} > 0, got {v!r}")
-    return v
-
-
-def _as_finite(params, key, family):
-    v = float(params[key])
-    if not math.isfinite(v):
-        raise ParameterError(f"{family} needs finite {key}, got {v!r}")
-    return v
-
-
-def _as_int(params, key, family, minimum):
-    v = float(params[key])
-    if v != int(v):
-        raise ParameterError(f"{family} needs integer {key}, got {v!r}")
-    iv = int(v)
-    if iv < minimum:
-        raise ParameterError(f"{family} needs {key} >= {minimum}, got {iv}")
-    return iv
+def _flushed_exp(lv):
+    """exp(lv), flushed to exact 0 where lv falls below about -745."""
+    return 0.0 if lv < -745.0 else math.exp(lv)
 
 
 def _cdf_from_log(log_cdf):
-    """exp(log_cdf(t)), flushed to exact 0 where log_cdf falls below about -745."""
-    def cdf(t):
-        lf = log_cdf(t)
-        return 0.0 if lf < -745.0 else math.exp(lf)
-    return cdf
+    return lambda t: _flushed_exp(log_cdf(t))
 
 
-def _build_type3ev(params):
-    gamma = _as_positive(params, "gamma", "type3ev")
-    b = _as_finite(params, "b", "type3ev")
-    if b < 0.0:
-        raise ParameterError(f"type3ev needs b >= 0, got {b!r}")
-    return _constant_rate(gamma, b)
-
-
-def _constant_rate(gamma, b):
+def _constant_rate(spec, gamma, b):
     log_gamma = math.log(gamma)
 
     def log_cdf(t):
@@ -165,8 +138,7 @@ def _constant_rate(gamma, b):
         return math.exp(gamma * (t - b))
 
     def pdf(t):
-        lp = log_gamma + gamma * (t - b)
-        return 0.0 if lp < -745.0 else math.exp(lp)
+        return _flushed_exp(log_gamma + gamma * (t - b))
 
     def quantile(p):
         return b + np.log(p) / gamma
@@ -179,7 +151,7 @@ def _constant_rate(gamma, b):
         return acc
 
     return DistributionModel(
-        spec=FamilySpec("type3ev", {"gamma": gamma, "b": b}),
+        spec=spec,
         support=SupportInterval(-math.inf, b),
         cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=lambda t: gamma,
@@ -189,9 +161,7 @@ def _constant_rate(gamma, b):
     )
 
 
-def _build_power(params):
-    b = _as_positive(params, "b", "power")
-    c = _as_positive(params, "c", "power")
+def _build_power(spec, b, c):
     log_b = math.log(b)
 
     def log_cdf(t):
@@ -201,8 +171,7 @@ def _build_power(params):
         return math.exp(log_cdf(t))
 
     def pdf(t):
-        lp = math.log(c) + (c - 1.0) * math.log(t) - c * log_b
-        return 0.0 if lp < -745.0 else math.exp(lp)
+        return _flushed_exp(math.log(c) + (c - 1.0) * math.log(t) - c * log_b)
 
     def quantile(p):
         return b * p ** (1.0 / c)
@@ -218,7 +187,7 @@ def _build_power(params):
         return c * b ** r / (c + r)
 
     return DistributionModel(
-        spec=FamilySpec("power", {"b": b, "c": c}),
+        spec=spec,
         support=SupportInterval(0.0, b),
         cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=lambda t: c / t,
@@ -228,17 +197,13 @@ def _build_power(params):
     )
 
 
-def _build_uniform(params):
+def _build_uniform(spec, b):
     # power with c = 1; cdf and pdf keep the exact quotients t/b and 1/b
-    b = _as_positive(params, "b", "uniform")
-    return replace(_build_power({"b": b, "c": 1.0}), spec=FamilySpec("uniform", {"b": b}),
-                   cdf=lambda t: t / b, pdf=lambda t: 1.0 / b)
+    return replace(_build_power(spec, b, 1.0), cdf=lambda t: t / b, pdf=lambda t: 1.0 / b)
 
 
-def _build_invweibull(params):
+def _build_invweibull(spec, nu, delta):
     """Frechet-type model on (0, inf); the one catalog family with no upper endpoint."""
-    nu = _as_positive(params, "nu", "invweibull")
-    delta = _as_positive(params, "delta", "invweibull")
     log_nu = math.log(nu)
     s = -1.0 / delta
 
@@ -256,8 +221,7 @@ def _build_invweibull(params):
         if zl > 700.0:
             return 0.0
         z = math.exp(zl)
-        lp = log_nu + math.log(delta) - (delta + 1.0) * math.log(t) - z
-        return 0.0 if lp < -745.0 else math.exp(lp)
+        return _flushed_exp(log_nu + math.log(delta) - (delta + 1.0) * math.log(t) - z)
 
     def quantile(p):
         return (nu / (-np.log(p))) ** (1.0 / delta)
@@ -281,16 +245,14 @@ def _build_invweibull(params):
         return nu ** (r / delta) * float(sc.gamma(1.0 - r / delta))
 
     return DistributionModel(
-        spec=FamilySpec("invweibull", {"nu": nu, "delta": delta}),
+        spec=spec,
         support=SupportInterval(0.0, math.inf),
         cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
-        rhr=rhr, eit=eit, rai=None, moments=moments,
+        rhr=rhr, eit=eit, moments=moments,
     )
 
 
-def _build_truncevpower(params):
-    alpha = _as_positive(params, "alpha", "truncevpower")
-    b = _as_finite(params, "b", "truncevpower")
+def _build_truncevpower(spec, alpha, b):
     emb = math.exp(-b)
 
     def log_cdf(t):
@@ -303,8 +265,7 @@ def _build_truncevpower(params):
         u = -t
         if u > 700.0:
             return 0.0
-        lp = math.log(alpha) + u - alpha * (math.exp(u) - emb)
-        return 0.0 if lp < -745.0 else math.exp(lp)
+        return _flushed_exp(math.log(alpha) + u - alpha * (math.exp(u) - emb))
 
     def quantile(p):
         return -np.log(emb - np.log(p) / alpha)
@@ -322,20 +283,15 @@ def _build_truncevpower(params):
         return _exp_e1(alpha * math.exp(u))
 
     return DistributionModel(
-        spec=FamilySpec("truncevpower", {"alpha": alpha, "b": b}),
+        spec=spec,
         support=SupportInterval(-math.inf, b),
         cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
-        rhr=rhr, eit=eit, rai=None, moments=None,
+        rhr=rhr, eit=eit,
     )
 
 
-def _build_basealinkedrhr(params):
-    theta = _as_positive(params, "theta", "basealinkedrhr")
-    a = float(params["a_base"])
-    if not (a > 1.0 and math.isfinite(a)):
-        raise ParameterError(f"basealinkedrhr needs a_base > 1, got {a!r}")
-    b = _as_finite(params, "b", "basealinkedrhr")
-    ln_a = math.log(a)
+def _build_basealinkedrhr(spec, theta, a_base, b):
+    ln_a = math.log(a_base)
     yb = theta * math.exp(-b * ln_a)
 
     def _y_log(t):
@@ -351,8 +307,7 @@ def _build_basealinkedrhr(params):
         yl = _y_log(t)
         if yl > 700.0:
             return 0.0
-        lp = math.log(theta * ln_a) - t * ln_a - (math.exp(yl) - yb)
-        return 0.0 if lp < -745.0 else math.exp(lp)
+        return _flushed_exp(math.log(theta * ln_a) - t * ln_a - (math.exp(yl) - yb))
 
     def quantile(p):
         return -np.log(yb / theta - np.log(p) / theta) / ln_a
@@ -367,19 +322,15 @@ def _build_basealinkedrhr(params):
         return _exp_e1(math.exp(yl)) / ln_a
 
     return DistributionModel(
-        spec=FamilySpec("basealinkedrhr", {"theta": theta, "a_base": a, "b": b}),
+        spec=spec,
         support=SupportInterval(-math.inf, b),
         cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
-        rhr=rhr, eit=eit, rai=None, moments=None,
+        rhr=rhr, eit=eit,
     )
 
 
-def _build_reflweibull(params):
+def _build_reflweibull(spec, theta, k):
     """Weibull mirrored onto the negative half line, upper endpoint pinned at 0."""
-    theta = _as_positive(params, "theta", "reflweibull")
-    k = _as_int(params, "k", "reflweibull", 1)
-    if k % 2 == 0:
-        raise ParameterError(f"reflweibull needs odd k, got {k}")
     kp1 = k + 1
     s = 1.0 / kp1
     log_theta = math.log(theta)
@@ -401,8 +352,7 @@ def _build_reflweibull(params):
         wl = _w_log(t)
         if wl > 700.0:
             return 0.0
-        lp = math.log(kp1 * theta) + k * math.log(-t) - math.exp(wl)
-        return 0.0 if lp < -745.0 else math.exp(lp)
+        return _flushed_exp(math.log(kp1 * theta) + k * math.log(-t) - math.exp(wl))
 
     def quantile(p):
         return -((-np.log(p)) / theta) ** s
@@ -427,17 +377,14 @@ def _build_reflweibull(params):
         return (-1.0) ** r * theta ** (-r * s) * float(sc.gamma(1.0 + r * s))
 
     return DistributionModel(
-        spec=FamilySpec("reflweibull", {"theta": theta, "k": float(k)}),
+        spec=spec,
         support=SupportInterval(-math.inf, 0.0),
         cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=rhr, eit=eit, rai=lambda t: float(kp1), moments=moments,
     )
 
 
-def _build_finiterange(params):
-    theta = _as_positive(params, "theta", "finiterange")
-    b = _as_positive(params, "b", "finiterange")
-    k = _as_int(params, "k", "finiterange", 1)
+def _build_finiterange(spec, theta, b, k):
     kp1 = k + 1
     log_b = math.log(b)
     bk1 = b ** kp1
@@ -452,28 +399,24 @@ def _build_finiterange(params):
         # F * (k/t + theta*(k+1)*t^k); t stays comfortably above 1e-290 in use
         return cdf(t) * (k / t + theta * kp1 * t ** k)
 
-    def _quantile_scalar(p):
-        target = math.log(p)
-        lo = b * 1e-300
-        return brentq(lambda t: log_cdf(t) - target, lo, b, xtol=1e-300, rtol=1e-15)
-
     def quantile(p):
-        return _quantile_scalar(float(p))
+        target = math.log(float(p))
+        return brentq(lambda t: log_cdf(t) - target, b * 1e-300, b, xtol=1e-300, rtol=1e-15)
 
     def eit(t):
         w = theta * t ** kp1
         return -math.expm1(-w) / (theta * kp1 * t ** k)
 
     return DistributionModel(
-        spec=FamilySpec("finiterange", {"theta": theta, "b": b, "k": float(k)}),
+        spec=spec,
         support=SupportInterval(0.0, b),
         cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=lambda t: k / t + theta * kp1 * t ** k,
-        eit=eit, rai=None, moments=None,
+        eit=eit,
     )
 
 
-def _build_linearmit(params):
+def _build_linearmit(spec, xi, alpha, beta, b):
     """Reconstruction of the family whose inactivity time is linear, xi*(alpha+beta*t).
 
     Three shapes fall out of the slope sign: beta = 0 collapses to the
@@ -481,19 +424,12 @@ def _build_linearmit(params):
     (-alpha/beta, b], and beta < 0 gives an unbounded left tail whose
     moments only exist up to order -q.
     """
-    xi = _as_positive(params, "xi", "linearmit")
-    alpha = _as_finite(params, "alpha", "linearmit")
-    beta = _as_finite(params, "beta", "linearmit")
-    b = _as_finite(params, "b", "linearmit")
-    spec = FamilySpec("linearmit", {"xi": xi, "alpha": alpha, "beta": beta, "b": b})
-
     if beta == 0.0:
         if alpha <= 0.0:
             raise ParameterError("linearmit with beta=0 needs alpha > 0")
         # the constant-rate model under the linearmit identity, with the
         # inactivity time as the family states it
-        return replace(_constant_rate(1.0 / (xi * alpha), b), spec=spec,
-                       eit=lambda t: xi * alpha)
+        return replace(_constant_rate(spec, 1.0 / (xi * alpha), b), eit=lambda t: xi * alpha)
 
     vb = alpha + beta * b
     if vb <= 0.0:
@@ -515,8 +451,7 @@ def _build_linearmit(params):
 
     def pdf(t):
         v = alpha + beta * t
-        lp = math.log(q * beta / v) + q * (math.log(v) - log_vb)
-        return 0.0 if lp < -745.0 else math.exp(lp)
+        return _flushed_exp(math.log(q * beta / v) + q * (math.log(v) - log_vb))
 
     def quantile(p):
         return (vb * p ** (1.0 / q) - alpha) / beta
@@ -547,9 +482,7 @@ def _build_linearmit(params):
     )
 
 
-def _build_explinkedeit(params):
-    theta = _as_positive(params, "theta", "explinkedeit")
-    b = _as_finite(params, "b", "explinkedeit")
+def _build_explinkedeit(spec, theta, b):
     eb = math.exp(b)
 
     def log_cdf(t):
@@ -571,22 +504,16 @@ def _build_explinkedeit(params):
         return -math.expm1(-w) / w
 
     return DistributionModel(
-        spec=FamilySpec("explinkedeit", {"theta": theta, "b": b}),
+        spec=spec,
         support=SupportInterval(-math.inf, b),
         cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=lambda t: 1.0 + theta * math.exp(t),
-        eit=eit, rai=None, moments=None,
+        eit=eit,
     )
 
 
-def _build_basealinkedeit(params):
-    gamma = _as_positive(params, "gamma", "basealinkedeit")
-    delta = _as_positive(params, "delta", "basealinkedeit")
-    a = float(params["a_base"])
-    if not (a > 1.0 and math.isfinite(a)):
-        raise ParameterError(f"basealinkedeit needs a_base > 1, got {a!r}")
-    b = _as_finite(params, "b", "basealinkedeit")
-    ln_a = math.log(a)
+def _build_basealinkedeit(spec, gamma, delta, a_base, b):
+    ln_a = math.log(a_base)
     ab = math.exp(b * ln_a)
     s = gamma / ln_a
 
@@ -618,12 +545,11 @@ def _build_basealinkedeit(params):
         return math.exp(-w) * acc / ln_a
 
     return DistributionModel(
-        spec=FamilySpec("basealinkedeit",
-                        {"gamma": gamma, "delta": delta, "a_base": a, "b": b}),
+        spec=spec,
         support=SupportInterval(-math.inf, b),
         cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
         rhr=lambda t: gamma + delta * ln_a * math.exp(t * ln_a),
-        eit=eit, rai=None, moments=None,
+        eit=eit,
     )
 
 
@@ -642,46 +568,54 @@ def _bracketed_quantile(log_cdf, p, b):
     return brentq(lambda t: log_cdf(t) - target, lo, b, xtol=1e-13, rtol=1e-15)
 
 
-_BUILDERS = {
-    "type3ev": _build_type3ev,
-    "power": _build_power,
-    "invweibull": _build_invweibull,
-    "truncevpower": _build_truncevpower,
-    "basealinkedrhr": _build_basealinkedrhr,
-    "reflweibull": _build_reflweibull,
-    "finiterange": _build_finiterange,
-    "linearmit": _build_linearmit,
-    "explinkedeit": _build_explinkedeit,
-    "basealinkedeit": _build_basealinkedeit,
-    "uniform": _build_uniform,
-}
+# admissible-range rules: (what the message says, test, value handed to the builder)
+_POSITIVE = ("> 0", lambda v: 0.0 < v < math.inf, float)
+_FINITE = ("finite", math.isfinite, float)
+_NONNEGATIVE = (">= 0", lambda v: 0.0 <= v < math.inf, float)
+_ABOVE_ONE = ("> 1", lambda v: 1.0 < v < math.inf, float)
+_INTEGER = ("integer >= 1", lambda v: 1.0 <= v < math.inf and v == int(v), int)
+_ODD_INTEGER = ("odd integer >= 1", lambda v: _INTEGER[1](v) and v % 2.0 == 1.0, int)
 
-_PARAM_ORDER = {
-    "type3ev": ("gamma", "b"),
-    "power": ("b", "c"),
-    "invweibull": ("nu", "delta"),
-    "truncevpower": ("alpha", "b"),
-    "basealinkedrhr": ("theta", "a_base", "b"),
-    "reflweibull": ("theta", "k"),
-    "finiterange": ("theta", "b", "k"),
-    "linearmit": ("xi", "alpha", "beta", "b"),
-    "explinkedeit": ("theta", "b"),
-    "basealinkedeit": ("gamma", "delta", "a_base", "b"),
-    "uniform": ("b",),
+# family -> (builder, parameters in canonical order with their rules)
+_FAMILIES = {
+    "type3ev": (_constant_rate, {"gamma": _POSITIVE, "b": _NONNEGATIVE}),
+    "power": (_build_power, {"b": _POSITIVE, "c": _POSITIVE}),
+    "invweibull": (_build_invweibull, {"nu": _POSITIVE, "delta": _POSITIVE}),
+    "truncevpower": (_build_truncevpower, {"alpha": _POSITIVE, "b": _FINITE}),
+    "basealinkedrhr": (_build_basealinkedrhr,
+                       {"theta": _POSITIVE, "a_base": _ABOVE_ONE, "b": _FINITE}),
+    "reflweibull": (_build_reflweibull, {"theta": _POSITIVE, "k": _ODD_INTEGER}),
+    "finiterange": (_build_finiterange, {"theta": _POSITIVE, "b": _POSITIVE, "k": _INTEGER}),
+    "linearmit": (_build_linearmit,
+                  {"xi": _POSITIVE, "alpha": _FINITE, "beta": _FINITE, "b": _FINITE}),
+    "explinkedeit": (_build_explinkedeit, {"theta": _POSITIVE, "b": _FINITE}),
+    "basealinkedeit": (_build_basealinkedeit, {"gamma": _POSITIVE, "delta": _POSITIVE,
+                                               "a_base": _ABOVE_ONE, "b": _FINITE}),
+    "uniform": (_build_uniform, {"b": _POSITIVE}),
 }
 
 
 def make_distribution(spec: FamilySpec) -> DistributionModel:
     family = spec.family.lower()
-    if family not in _BUILDERS:
+    if family not in _FAMILIES:
         raise ParameterError(f"unknown family {spec.family!r}")
-    wanted = set(_PARAM_ORDER[family])
+    build, rules = _FAMILIES[family]
     got = {k.lower() for k in spec.params}
-    if got != wanted:
+    if got != set(rules):
         raise ParameterError(
-            f"{family} takes parameters {sorted(wanted)}, got {sorted(got)}")
+            f"{family} takes parameters {sorted(rules)}, got {sorted(got)}")
     params = {k.lower(): float(v) for k, v in spec.params.items()}
-    return _BUILDERS[family](params)
+    values = {}
+    for key, (wanted, admissible, cast) in rules.items():
+        if not admissible(params[key]):
+            raise ParameterError(f"{family} needs {key} {wanted}, got {params[key]!r}")
+        values[key] = cast(params[key])
+    canonical = FamilySpec(family, {key: params[key] for key in rules})
+    try:
+        return build(canonical, **values)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        # a value inside every single-parameter range that still leaves float range
+        raise ParameterError(f"{family} parameters out of range: {exc}") from None
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -711,8 +645,7 @@ def parse_family(text: str) -> FamilySpec:
 
 def format_family(spec: FamilySpec) -> str:
     family = spec.family.lower()
-    order = _PARAM_ORDER.get(family)
-    keys = order if order else tuple(sorted(spec.params))
+    keys = tuple(_FAMILIES[family][1]) if family in _FAMILIES else tuple(sorted(spec.params))
     parts = ",".join(f"{k}={spec.params[k]:g}" for k in keys)
     return f"{family}:{parts}"
 
@@ -736,16 +669,3 @@ def quantile_at(model: DistributionModel, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile needs 0 < p < 1, got {p!r}")
     return float(model.quantile(p))
-
-
-def raw_moment(model: DistributionModel, r: int) -> float:
-    """E[X^r], preferring the family's closed form when one is attached."""
-    if model.moments is not None:
-        return float(model.moments(r))
-    from .quadrature import ExpectationSpec, QuadStatus, expectation
-
-    res = expectation(ExpectationSpec(model, lambda x: x ** r))
-    if res.status is not QuadStatus.Converged:
-        raise DivergentMoment(
-            f"moment of order {r} did not converge for {format_family(model.spec)}")
-    return res.value

@@ -1,6 +1,7 @@
 """Plug-in estimation of the inactivity mean and family ranking from data.
 
-Everything here is estimation plumbing layered over sorted samples.  The
+Everything here is estimation plumbing layered over sorted samples, and
+inverse-cdf sampling from a model produces them.  The
 inactivity mean has a clean empirical counterpart: replace the cdf by
 the empirical cdf and the estimate at t becomes the average of (t - x_i)
 over the sample points at or below t.  The product-form checks built on
@@ -19,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .characterizations import TheoremId
-from .errors import NoMass, ParameterError, TooFewPoints
+from .errors import NoMass, NonFiniteWeight, ParameterError, TooFewPoints
 
 __all__ = [
     "DEFAULT_CANDIDATES",
@@ -35,7 +36,9 @@ __all__ = [
     "empirical_eit",
     "gap_statistics",
     "identify",
+    "mc_expectation",
     "read_samples",
+    "sample_inverse_cdf",
 ]
 
 
@@ -56,6 +59,38 @@ class SampleSet:
     @property
     def n(self) -> int:
         return int(self.values.size)
+
+
+def sample_inverse_cdf(model, n: int, seed: int):
+    """n inverse-cdf draws from the model, deterministic for a fixed seed."""
+    if n < 1:
+        raise ParameterError("sample size must be at least 1")
+    rng = np.random.default_rng(seed)
+    u = rng.integers(1, 2 ** 53, size=n) / float(2 ** 53)  # open (0,1)
+    return SampleSet(values=np.sort(_apply(model.quantile, u)))
+
+
+def _apply(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """f over xs: one call on the whole array where f takes arrays, else value by value."""
+    try:
+        arr = np.asarray(f(xs), dtype=float)
+        if arr.shape == xs.shape:
+            return arr
+    except (TypeError, ValueError):
+        pass
+    return np.fromiter((f(float(v)) for v in xs), dtype=float, count=xs.size)
+
+
+def mc_expectation(samples, g: Callable[[float], float]):
+    """Sample mean and standard error of g over the sample values."""
+    with np.errstate(all="ignore"):
+        vals = _apply(g, samples.values)
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteWeight("weight function produced a non-finite value on the sample")
+    n = len(vals)
+    mean = float(vals.mean())
+    stderr = math.inf if n < 2 else float(vals.std(ddof=1) / math.sqrt(n))
+    return mean, stderr
 
 
 @dataclass(frozen=True)

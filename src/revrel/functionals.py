@@ -12,9 +12,10 @@ and exp(-integral_t^b phi) reconstructs F(t) when b is finite.  Both are
 exposed as residual helpers so tests can exercise the closed forms and
 the quadrature engine against each other.
 
-Public accessors prefer a model's closed-form closures and fall back to
-quadrature; the ``numeric_*`` variants never consult closed forms, which
-makes them usable as independent cross-checks.
+Every model carries closed forms of phi and m; ``rai`` and ``raw_moment``
+use a closed form where the model has one and fall back to the -log F
+identity and to quadrature.  The ``numeric_*`` variants never consult
+closed forms, which makes them usable as independent cross-checks.
 
 Conventions for the reversed intensity: the support must be bounded
 above (otherwise ``UnboundedSupport``), the value at t >= b is fixed to
@@ -29,17 +30,20 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .distributions import DistributionModel
+from .distributions import DistributionModel, format_family
 from .errors import (
+    DivergentMoment,
     DomainError,
     QuadratureError,
     SupportError,
     UnboundedSupport,
 )
 from .quadrature import (
+    ExpectationSpec,
     QuadStatus,
     Tolerances,
     cdf_cumulative_integral,
+    expectation,
     integrate_finite,
 )
 
@@ -52,6 +56,7 @@ __all__ = [
     "numeric_rhr",
     "rai",
     "rai_integral_form",
+    "raw_moment",
     "rhr",
     "rhr_eit_identity_residual",
 ]
@@ -71,9 +76,7 @@ def _require_interior(model: DistributionModel, t: float) -> None:
 def rhr(model: DistributionModel, t: float) -> float:
     """Reversed hazard rate f(t)/F(t) at an interior point."""
     _require_interior(model, t)
-    if model.rhr is not None:
-        return float(model.rhr(t))
-    return numeric_rhr(model, t)
+    return float(model.rhr(t))
 
 
 def numeric_rhr(model: DistributionModel, t: float) -> float:
@@ -89,13 +92,10 @@ def numeric_rhr(model: DistributionModel, t: float) -> float:
     return model.pdf(t) / cdf_val
 
 
-def eit(model: DistributionModel, t: float,
-        tol: Optional[Tolerances] = None) -> float:
+def eit(model: DistributionModel, t: float) -> float:
     """Expected inactivity time m(t) = E[t - X | X <= t]."""
     _require_interior(model, t)
-    if model.eit is not None:
-        return float(model.eit(t))
-    return numeric_eit(model, t, tol)
+    return float(model.eit(t))
 
 
 def numeric_eit(model: DistributionModel, t: float,
@@ -109,18 +109,24 @@ def numeric_eit(model: DistributionModel, t: float,
     return acc / cdf_val
 
 
-def rai(model: DistributionModel, t: float) -> float:
-    """Reversed aging intensity (b - t) * rhr(t) / (-log F(t)).
-
-    Identically 1 exactly for the exponential-in-reverse family; above 1
-    signals faster-than-exponential reversed aging near b, below 1 slower.
-    """
+def _rai_upper(model: DistributionModel, t: float) -> float:
+    """The upper endpoint b; raises unless b is finite and t lies above the lower end."""
     upper = model.support.upper
     if not math.isfinite(upper):
         raise UnboundedSupport("reversed aging intensity needs a finite upper endpoint")
     if t <= model.support.lower:
         raise SupportError(
             f"t={t!r} outside support ({model.support.lower!r}, {upper!r}]")
+    return upper
+
+
+def rai(model: DistributionModel, t: float) -> float:
+    """Reversed aging intensity (b - t) * rhr(t) / (-log F(t)).
+
+    Identically 1 exactly for the exponential-in-reverse family; above 1
+    signals faster-than-exponential reversed aging near b, below 1 slower.
+    """
+    upper = _rai_upper(model, t)
     if t >= upper:
         return 0.0
     if model.rai is not None:
@@ -131,6 +137,16 @@ def rai(model: DistributionModel, t: float) -> float:
     return (t - upper) * rhr(model, t) / log_cdf_val
 
 
+def _rhr_integral(model: DistributionModel, t: float, tol: Optional[Tolerances]) -> float:
+    """The integral of rhr over (t, b); QuadratureError unless it converges."""
+    upper = model.support.upper
+    res = integrate_finite(lambda x: rhr(model, x), t, upper, tol or _TIGHT_TOL)
+    if res.status is not QuadStatus.Converged:
+        raise QuadratureError(
+            f"rhr integral over ({t!r}, {upper!r}) ended {res.status.value}")
+    return res.value
+
+
 def rai_integral_form(model: DistributionModel, t: float,
                       tol: Optional[Tolerances] = None) -> float:
     """Reversed aging intensity with the denominator integrated numerically.
@@ -139,21 +155,13 @@ def rai_integral_form(model: DistributionModel, t: float,
     instead of using the -log F identity, an independent consistency
     check on the closed cdf / rhr pair.
     """
-    upper = model.support.upper
-    if not math.isfinite(upper):
-        raise UnboundedSupport("reversed aging intensity needs a finite upper endpoint")
-    if t <= model.support.lower:
-        raise SupportError(
-            f"t={t!r} outside support ({model.support.lower!r}, {upper!r}]")
+    upper = _rai_upper(model, t)
     if t >= upper:
         return 0.0
-    res = integrate_finite(lambda x: rhr(model, x), t, upper, tol or _TIGHT_TOL)
-    if res.status is not QuadStatus.Converged:
-        raise QuadratureError(
-            f"rhr integral over ({t!r}, {upper!r}) ended {res.status.value}")
-    if res.value <= 0.0:
+    integral = _rhr_integral(model, t, tol)
+    if integral <= 0.0:
         raise DomainError(f"rhr integral vanished on ({t!r}, {upper!r})")
-    return (upper - t) * rhr(model, t) / res.value
+    return (upper - t) * rhr(model, t) / integral
 
 
 def rhr_eit_identity_residual(model: DistributionModel, t: float) -> float:
@@ -185,11 +193,18 @@ def cdf_from_rhr(model: DistributionModel, t: float,
     _require_interior(model, t)
     if t >= upper:
         return 1.0
-    res = integrate_finite(lambda x: rhr(model, x), t, upper, tol or _TIGHT_TOL)
+    return math.exp(-_rhr_integral(model, t, tol))
+
+
+def raw_moment(model: DistributionModel, r: int) -> float:
+    """E[X^r], preferring the family's closed form when one is attached."""
+    if model.moments is not None:
+        return float(model.moments(r))
+    res = expectation(ExpectationSpec(model, lambda x: x ** r))
     if res.status is not QuadStatus.Converged:
-        raise QuadratureError(
-            f"rhr integral over ({t!r}, {upper!r}) ended {res.status.value}")
-    return math.exp(-res.value)
+        raise DivergentMoment(
+            f"moment of order {r} did not converge for {format_family(model.spec)}")
+    return res.value
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ documented limitation of the classification, not of the estimate.
 One pass serves finite intervals and half lines through two node maps,
 x = lo + q*(hi - lo) and x = anchor +/- u/(1-u) (see _build_levels). Only
 the split rule differs: a finite interval is halved, a half line peels off
-a finite chunk next to its anchor.
+a finite chunk next to its anchor. Sampling lives in ``empirics``.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-import numpy as np
-
-from .errors import NonFiniteWeight, ParameterError, QuadratureError, SupportError
+from .errors import ParameterError, QuadratureError, SupportError
 
 
 class QuadStatus(Enum):
@@ -355,45 +353,3 @@ def cdf_cumulative_integral(model, t: float, tol: Optional[Tolerances] = None) -
     if r.status is not QuadStatus.Converged:
         raise QuadratureError(f"cumulative cdf integral did not converge at t={t!r}")
     return r.value
-
-
-def sample_inverse_cdf(model, n: int, seed: int):
-    """n inverse-cdf draws from the model, deterministic for a fixed seed."""
-    if n < 1:
-        raise ParameterError("sample size must be at least 1")
-    rng = np.random.default_rng(seed)
-    u = rng.integers(1, 2 ** 53, size=n) / float(2 ** 53)  # open (0,1)
-    xs = None
-    try:
-        arr = model.quantile(u)
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape == u.shape:
-            xs = arr
-    except (TypeError, ValueError):
-        xs = None
-    if xs is None:
-        xs = np.fromiter((model.quantile(float(v)) for v in u), dtype=float, count=n)
-    from .empirics import SampleSet  # imported here to avoid a module cycle
-
-    return SampleSet(values=np.sort(xs))
-
-
-def mc_expectation(samples, g: Callable[[float], float]):
-    """Sample mean and standard error of g over the sample values."""
-    vals = None
-    with np.errstate(all="ignore"):
-        try:
-            arr = np.asarray(g(samples.values), dtype=float)
-            if arr.shape == samples.values.shape:
-                vals = arr
-        except (TypeError, ValueError):
-            vals = None
-        if vals is None:
-            vals = np.fromiter((g(float(v)) for v in samples.values), dtype=float,
-                               count=len(samples.values))
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteWeight("weight function produced a non-finite value on the sample")
-    n = len(vals)
-    mean = float(vals.mean())
-    stderr = math.inf if n < 2 else float(vals.std(ddof=1) / math.sqrt(n))
-    return mean, stderr

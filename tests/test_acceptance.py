@@ -25,7 +25,7 @@ from revrel.characterizations import (
 )
 from revrel.cli import main as cli_main
 from revrel.distributions import cdf_at, model_from_text, quantile_at
-from revrel.empirics import empirical_eit, identify
+from revrel.empirics import empirical_eit, identify, mc_expectation, sample_inverse_cdf
 from revrel.functionals import (
     cdf_from_rhr,
     eit,
@@ -33,7 +33,7 @@ from revrel.functionals import (
     rai_integral_form,
     rhr_eit_identity_residual,
 )
-from revrel.quadrature import Tolerances, mc_expectation, sample_inverse_cdf
+from revrel.quadrature import Tolerances
 
 ALL_TEXTS = (
     "type3ev:gamma=2,b=0",

@@ -165,6 +165,17 @@ def test_x_weighted_product_refuses_negative_support():
     assert "below zero" in r.note
 
 
+def test_x_weighted_product_equality_on_zero_intercept_linear_eit():
+    # alpha = 0 makes linearmit a power law: x*rhr(x) = q is constant
+    r = _run(TheoremId.T2_2, "linearmit:xi=2,alpha=0,beta=0.25,b=1")
+    assert r.verdict is Verdict.Equality
+    assert r.expected_equality
+    # with beta < 0 the support lies below zero, and no equality is expected
+    r = _run(TheoremId.T2_2, "linearmit:xi=1,alpha=0,beta=-0.5,b=-1")
+    assert r.verdict is Verdict.DomainMismatch
+    assert not r.expected_equality
+
+
 def test_power_weighted_product_value_on_heavy_tail():
     # at k=2 the two factors reduce to gamma-function moments
     r = _run(TheoremId.T2_4, "invweibull:nu=1,delta=3", k=2)

@@ -10,7 +10,7 @@ import pytest
 
 from revrel.cli import main
 from revrel.distributions import model_from_text
-from revrel.quadrature import sample_inverse_cdf
+from revrel.empirics import sample_inverse_cdf
 
 
 def run_cli(*argv):
@@ -100,6 +100,8 @@ def test_verify_writes_out_file(tmp_path):
     (("verify", "--grid", "9"), "--grid"),
     (("table", "--family", "power:b=1,c=2", "--theorem", "T2_1"), "--theorem"),
     (("identify", "nowhere.txt", "--seed", "3"), "--seed"),
+    # parameters inside each single range whose values leave float range
+    (("table", "--family", "explinkedeit:theta=1,b=1000"), "explinkedeit"),
 ))
 def test_config_errors_exit_one_and_name_the_problem(argv, needle):
     code, _, err = run_cli(*argv)

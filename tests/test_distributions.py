@@ -7,6 +7,7 @@ that are repeated inline here. They are oracles, not recordings of
 package output.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
@@ -27,9 +28,9 @@ from revrel.distributions import (
     model_from_text,
     parse_family,
     quantile_at,
-    raw_moment,
 )
 from revrel.errors import DivergentMoment, DomainError, ParameterError, SupportError
+from revrel.functionals import raw_moment
 
 
 # Moment summary and guarded density, used only by the tests below.
@@ -330,6 +331,8 @@ BAD_SPECS = (
     "finiterange:theta=0.5,b=1,k=0",
     "finiterange:theta=0.5,b=1,k=1.5",
     "truncevpower:alpha=0,b=0",
+    "reflweibull:theta=0.5,k=nan",
+    "finiterange:theta=0.5,b=1,k=inf",
 )
 
 
@@ -337,6 +340,23 @@ BAD_SPECS = (
 def test_invalid_parameters_are_rejected(text):
     with pytest.raises(ParameterError):
         model_from_text(text)
+
+
+EXTREME_VALUES = (math.nan, math.inf, -math.inf, 1e-320, 1e308, -1e308, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("text", DEFAULT_TEXTS)
+def test_extreme_parameters_build_a_model_or_raise_parameter_error(text):
+    # every combination of extreme values: building never leaks an
+    # OverflowError, ZeroDivisionError or ValueError
+    spec = parse_family(text)
+    keys = tuple(spec.params)
+    for values in itertools.product(EXTREME_VALUES, repeat=len(keys)):
+        try:
+            model = make_distribution(FamilySpec(spec.family, dict(zip(keys, values))))
+        except ParameterError:
+            continue
+        assert isinstance(model, DistributionModel)
 
 
 def test_unknown_family_and_wrong_parameter_set():

@@ -15,10 +15,10 @@ from revrel.empirics import (
     gap_statistics,
     identify,
     read_samples,
+    sample_inverse_cdf,
 )
 from revrel.characterizations import TheoremId
 from revrel.errors import NoMass, ParameterError, TooFewPoints
-from revrel.quadrature import sample_inverse_cdf
 
 
 def make_sample(*values):

@@ -1,0 +1,73 @@
+"""Module layering: every intra-package import sits at module level, and
+the modules of ``revrel`` import each other without a cycle."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "revrel"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def _package_imports(node):
+    """Names of the revrel modules one import statement pulls in."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 1 and node.module is None:
+            return [alias.name for alias in node.names]       # from . import x
+        if node.level == 1:
+            return [node.module.split(".")[0]]                # from .x import y
+        if node.level == 0 and node.module and node.module.split(".")[0] == "revrel":
+            parts = node.module.split(".")
+            return [parts[1] if len(parts) > 1 else "__init__"]
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] if "." in alias.name else "__init__"
+                for alias in node.names if alias.name.split(".")[0] == "revrel"]
+    return []
+
+
+def _tree(name):
+    return ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def _import_graph():
+    graph = {}
+    for name in MODULES:
+        edges = set()
+        for node in ast.walk(_tree(name)):
+            edges.update(_package_imports(node))
+        graph[name] = edges - {name}
+    return graph
+
+
+def test_the_package_has_modules_to_check():
+    assert {"distributions", "functionals", "quadrature", "empirics"} <= set(MODULES)
+
+
+def test_no_package_import_inside_a_function_body():
+    nested = []
+    for name in MODULES:
+        for fn in ast.walk(_tree(name)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested.extend(f"{name}.{getattr(fn, 'name', '<lambda>')}: line {node.lineno}"
+                              for node in ast.walk(fn) if _package_imports(node))
+    assert nested == []
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = _import_graph()
+    assert set().union(*graph.values()) <= set(MODULES)
+    done, on_path = set(), []
+
+    def visit(name):
+        if name in on_path:
+            raise AssertionError("import cycle: " + " -> ".join(
+                on_path[on_path.index(name):] + [name]))
+        if name in done:
+            return
+        on_path.append(name)
+        for dep in sorted(graph[name]):
+            visit(dep)
+        on_path.pop()
+        done.add(name)
+
+    for name in MODULES:
+        visit(name)

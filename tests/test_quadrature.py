@@ -18,10 +18,9 @@ from revrel.quadrature import (
     integrate_finite,
     integrate_lower_unbounded,
     integrate_upper_unbounded,
-    mc_expectation,
-    sample_inverse_cdf,
 )
 from revrel.distributions import model_from_text
+from revrel.empirics import mc_expectation, sample_inverse_cdf
 
 
 # ---------------------------------------------------------------- finite
