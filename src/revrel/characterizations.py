@@ -166,10 +166,13 @@ class CheckReport:
     note: str = ""
 
 
-def _functional(model: DistributionModel, name: str) -> Callable[[float], float]:
-    """The model's closed form of rhr, eit or rai; rai falls back to functionals.rai."""
-    closed = getattr(model, name)
-    return closed if closed is not None else partial(rai, model)
+def _log_functional(model: DistributionModel, name: str) -> Callable[[float], float]:
+    """x -> log of rhr, eit or rai: a log-native twin if any; rai falls back to functionals.rai."""
+    native = getattr(model, "log_" + name, None)
+    if native is not None:
+        return native
+    closed = getattr(model, name) or partial(rai, model)
+    return lambda x, log=math.log: log(closed(x))
 
 
 # ------------------------------------------------------------- x-weights
@@ -179,9 +182,11 @@ def _functional(model: DistributionModel, name: str) -> Callable[[float], float]
 # the value does: x^2 underflows to 0 around 1e-154 and the reciprocal
 # becomes inf at nodes where the true weight (1/(c*x) after cancellation)
 # is perfectly representable, which the engine then misreads as an
-# endpoint blow-up.  Summing logs and exponentiating once degrades to
-# 0.0 or inf only when the weight value itself leaves float range.
-# An x-weight shape maps a check to (log|w|, sign of w).
+# endpoint blow-up.  A factor is therefore x -> log|w(x)|, a sum of logs
+# that the engine adds to log_pdf and exponentiates once, so the integrand
+# leaves float range only where the weighted density itself does.
+# An x-weight shape maps a check to (log|w|, sign of w); every factor of a
+# check shares that sign.
 
 _plus = lambda x: 1.0
 _sign_x = lambda x: 1.0 if x > 0.0 else -1.0
@@ -189,7 +194,7 @@ _sign_x = lambda x: 1.0 if x > 0.0 else -1.0
 
 def _power(p: int):
     # exact for p = 1 and p = -1: 1*y and -1*y are y and -y
-    return (lambda x: p * math.log(abs(x))), (_plus if p % 2 == 0 else _sign_x)
+    return (lambda x, log=math.log: p * log(abs(x))), (_plus if p % 2 == 0 else _sign_x)
 
 
 def _reciprocal_linear(c: CheckSpec):
@@ -479,40 +484,16 @@ def claimed_equality_pair(check: CheckSpec, model: DistributionModel) -> bool:
 
 # --------------------------------------------------------- check runner
 
-def _signed_exp(sign: float, mag: float) -> float:
-    try:
-        return sign * math.exp(mag)
-    except OverflowError:
-        return sign * math.inf
-
-
 def _factors(check: CheckSpec, model: DistributionModel) -> Tuple[Callable[[float], float], ...]:
+    """The check's factor weights as x -> log|w(x)|; their sign is the row's."""
     row = _row(check.id)
-    lw, sgn = row.weight(check)
+    lw, lg = row.weight(check)[0], _log_functional(model, row.functional)
     if check.kind == _KIND_PRODUCT:
-        g = _functional(model, row.functional)
-
-        def linked(x: float) -> float:
-            return _signed_exp(sgn(x), lw(x) + math.log(g(x)))
-
-        def reciprocal(x: float) -> float:
-            return _signed_exp(sgn(x), -lw(x) - math.log(g(x)))
-
-        return (reciprocal, linked)
+        return (lambda x: -lw(x) - lg(x), lambda x: lw(x) + lg(x))
     if check.kind == _KIND_MOMENT:
-        phi = _functional(model, row.functional)
-        return (lambda x: _signed_exp(sgn(x), lw(x) + math.log(phi(x))),)
-    # mixed products
-    phi = _functional(model, "rhr")
-    other = _functional(model, row.functional)
-
-    def over(x: float) -> float:
-        return _signed_exp(sgn(x), lw(x) + math.log(other(x)) - math.log(phi(x)))
-
-    def under(x: float) -> float:
-        return _signed_exp(sgn(x), lw(x) + math.log(phi(x)) - math.log(other(x)))
-
-    return (over, under)
+        return (lambda x: lw(x) + lg(x),)
+    lphi = _log_functional(model, "rhr")  # mixed products: the row's functional over rhr
+    return (lambda x: lw(x) + lg(x) - lphi(x), lambda x: lw(x) + lphi(x) - lg(x))
 
 
 def _rhs(check: CheckSpec, model: DistributionModel) -> float:
@@ -580,7 +561,8 @@ def run_check(check: CheckSpec, model: DistributionModel,
     except DivergentMoment as exc:
         return report(Verdict.Divergent, note=str(exc))
 
-    results = tuple(expectation(ExpectationSpec(model, w), tol)
+    sign = _row(check.id).weight(check)[1]
+    results = tuple(expectation(ExpectationSpec(model, w, sign), tol)
                     for w in check.lhs_weights(model))
     bad = [r for r in results if r.status is not QuadStatus.Converged]
     if bad:

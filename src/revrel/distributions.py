@@ -1,12 +1,16 @@
 """Right-truncated distribution families with closed-form reversed-time functionals.
 
 Each family is built as a bundle of scalar closures (cdf, pdf, quantile,
-log-cdf, and the closed-form reversed hazard rate and expected inactivity
-time) plus the reversed aging intensity and raw moments where closed forms
-exist. Numerical code elsewhere in the package treats the bundle as opaque:
-integration only ever touches cdf and pdf on the open support, so the
-closures are written to degrade cleanly (underflow to exact zero, never
-overflow) at extreme arguments.
+log-cdf, log-pdf, and the closed-form reversed hazard rate and expected
+inactivity time) plus the reversed aging intensity and raw moments where
+closed forms exist. Numerical code elsewhere in the package treats the
+bundle as opaque: integration only ever touches cdf and log_pdf on the
+open support, so the closures are written to degrade cleanly (underflow to
+exact zero or -inf, never overflow) at extreme arguments. log_pdf stays
+finite where the pdf underflows, and where rhr or eit leaves float range
+inside the support a log-native twin (log_rhr, log_eit) does not:
+invweibull's rhr at large t and eit at small t, reflweibull's rhr near 0,
+and finiterange's eit, 0/0 where t**k underflows.
 
 Each family is one row of ``_FAMILIES``: its builder and its parameters in
 canonical order with their admissible ranges. ``make_distribution`` checks
@@ -55,10 +59,14 @@ class DistributionModel:
     pdf: Callable[[float], float]
     quantile: Callable[[float], float]
     log_cdf: Callable[[float], float]
+    log_pdf: Callable[[float], float]
     rhr: Callable[[float], float]
     eit: Callable[[float], float]
     rai: Optional[Callable[[float], float]] = None
     moments: Optional[Callable[[int], float]] = None
+    # log-native twins, where the linear closure leaves float range inside the support
+    log_rhr: Optional[Callable[[float], float]] = None
+    log_eit: Optional[Callable[[float], float]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +114,11 @@ def _upper_gamma_exp(s: float, z: float) -> float:
         raise ValueError("Gamma(s, 0) diverges for s <= 0")
     if z <= 45.0:
         return _upper_gamma(s, z) * math.exp(z)
+    return z ** (s - 1.0) * _gamma_series(s, z)
+
+
+def _gamma_series(s: float, z: float) -> float:
+    """1 + (s-1)/z + (s-1)(s-2)/z^2 + ..., Gamma(s, z)*exp(z)/z^(s-1) for z > 45."""
     acc = 1.0
     term = 1.0
     for j in range(1, 40):
@@ -113,7 +126,7 @@ def _upper_gamma_exp(s: float, z: float) -> float:
         acc += term
         if abs(term) < 1e-18 * abs(acc):
             break
-    return z ** (s - 1.0) * acc
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +137,13 @@ def _flushed_exp(lv):
     return 0.0 if lv < -745.0 else math.exp(lv)
 
 
-def _cdf_from_log(log_cdf):
-    return lambda t: _flushed_exp(log_cdf(t))
+def _from_log(log_fn):
+    return lambda t: _flushed_exp(log_fn(t))
+
+
+def _density(cdf, log_cdf, rhr):
+    """pdf = F*rhr and log_pdf = log F + log rhr, for a family whose rhr is a sum."""
+    return (lambda t: cdf(t) * rhr(t)), (lambda t: log_cdf(t) + math.log(rhr(t)))
 
 
 def _constant_rate(spec, gamma, b):
@@ -137,8 +155,8 @@ def _constant_rate(spec, gamma, b):
     def cdf(t):
         return math.exp(gamma * (t - b))
 
-    def pdf(t):
-        return _flushed_exp(log_gamma + gamma * (t - b))
+    def log_pdf(t):
+        return log_gamma + gamma * (t - b)
 
     def quantile(p):
         return b + np.log(p) / gamma
@@ -153,16 +171,19 @@ def _constant_rate(spec, gamma, b):
     return DistributionModel(
         spec=spec,
         support=SupportInterval(-math.inf, b),
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
+        cdf=cdf, pdf=_from_log(log_pdf), quantile=quantile, log_cdf=log_cdf, log_pdf=log_pdf,
         rhr=lambda t: gamma,
         eit=lambda t: 1.0 / gamma,
         rai=lambda t: 1.0,
         moments=moments,
+        log_rhr=lambda t: log_gamma,  # constants: each spares the integrand a log call
+        log_eit=lambda t: -log_gamma,
     )
 
 
 def _build_power(spec, b, c):
     log_b = math.log(b)
+    log_c = math.log(c)
 
     def log_cdf(t):
         return c * (math.log(t) - log_b)
@@ -170,8 +191,8 @@ def _build_power(spec, b, c):
     def cdf(t):
         return math.exp(log_cdf(t))
 
-    def pdf(t):
-        return _flushed_exp(math.log(c) + (c - 1.0) * math.log(t) - c * log_b)
+    def log_pdf(t):
+        return log_c + (c - 1.0) * math.log(t) - c * log_b
 
     def quantile(p):
         return b * p ** (1.0 / c)
@@ -189,7 +210,7 @@ def _build_power(spec, b, c):
     return DistributionModel(
         spec=spec,
         support=SupportInterval(0.0, b),
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
+        cdf=cdf, pdf=_from_log(log_pdf), quantile=quantile, log_cdf=log_cdf, log_pdf=log_pdf,
         rhr=lambda t: c / t,
         eit=lambda t: t / (c + 1.0),
         rai=rai,
@@ -205,6 +226,7 @@ def _build_uniform(spec, b):
 def _build_invweibull(spec, nu, delta):
     """Frechet-type model on (0, inf); the one catalog family with no upper endpoint."""
     log_nu = math.log(nu)
+    log_delta = math.log(delta)
     s = -1.0 / delta
 
     def _z_log(t):
@@ -216,20 +238,17 @@ def _build_invweibull(spec, nu, delta):
             return -math.inf
         return -math.exp(zl)
 
-    def pdf(t):
+    def log_pdf(t):
         zl = _z_log(t)
         if zl > 700.0:
-            return 0.0
-        z = math.exp(zl)
-        return _flushed_exp(log_nu + math.log(delta) - (delta + 1.0) * math.log(t) - z)
+            return -math.inf
+        return log_nu + log_delta - (delta + 1.0) * math.log(t) - math.exp(zl)
 
     def quantile(p):
         return (nu / (-np.log(p))) ** (1.0 / delta)
 
-    def rhr(t):
-        zl = _z_log(t)
-        lp = math.log(delta) + zl - math.log(t)
-        return math.exp(lp)
+    def log_rhr(t):
+        return log_delta + _z_log(t) - math.log(t)  # its exp underflows at large t
 
     def eit(t):
         zl = _z_log(t)
@@ -237,6 +256,14 @@ def _build_invweibull(spec, nu, delta):
             return t  # z underflows; by then the inactivity time is t to 1e-280
         z = math.exp(zl)
         return nu ** (1.0 / delta) / delta * _upper_gamma_exp(s, z)
+
+    def log_eit(t):
+        # eit's z**(s-1) underflows at small t; its log does not
+        zl = _z_log(t)
+        z = math.exp(min(zl, 700.0))
+        if zl < -640.0 or z <= 45.0:
+            return math.log(eit(t))
+        return log_nu / delta - log_delta + (s - 1.0) * zl + math.log(_gamma_series(s, z))
 
     def moments(r):
         if r >= delta:
@@ -247,8 +274,9 @@ def _build_invweibull(spec, nu, delta):
     return DistributionModel(
         spec=spec,
         support=SupportInterval(0.0, math.inf),
-        cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
-        rhr=rhr, eit=eit, moments=moments,
+        cdf=_from_log(log_cdf), pdf=_from_log(log_pdf), quantile=quantile, log_cdf=log_cdf,
+        log_pdf=log_pdf, rhr=lambda t: math.exp(log_rhr(t)), eit=eit, moments=moments,
+        log_rhr=log_rhr, log_eit=log_eit,
     )
 
 
@@ -261,11 +289,11 @@ def _build_truncevpower(spec, alpha, b):
             return -math.inf
         return -alpha * (math.exp(u) - emb)
 
-    def pdf(t):
+    def log_pdf(t):
         u = -t
         if u > 700.0:
-            return 0.0
-        return _flushed_exp(math.log(alpha) + u - alpha * (math.exp(u) - emb))
+            return -math.inf
+        return math.log(alpha) + u - alpha * (math.exp(u) - emb)
 
     def quantile(p):
         return -np.log(emb - np.log(p) / alpha)
@@ -285,8 +313,8 @@ def _build_truncevpower(spec, alpha, b):
     return DistributionModel(
         spec=spec,
         support=SupportInterval(-math.inf, b),
-        cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
-        rhr=rhr, eit=eit,
+        cdf=_from_log(log_cdf), pdf=_from_log(log_pdf), quantile=quantile, log_cdf=log_cdf,
+        log_pdf=log_pdf, rhr=rhr, eit=eit,
     )
 
 
@@ -303,11 +331,11 @@ def _build_basealinkedrhr(spec, theta, a_base, b):
             return -math.inf
         return -(math.exp(yl) - yb)
 
-    def pdf(t):
+    def log_pdf(t):
         yl = _y_log(t)
         if yl > 700.0:
-            return 0.0
-        return _flushed_exp(math.log(theta * ln_a) - t * ln_a - (math.exp(yl) - yb))
+            return -math.inf
+        return math.log(theta * ln_a) - t * ln_a - (math.exp(yl) - yb)
 
     def quantile(p):
         return -np.log(yb / theta - np.log(p) / theta) / ln_a
@@ -324,8 +352,8 @@ def _build_basealinkedrhr(spec, theta, a_base, b):
     return DistributionModel(
         spec=spec,
         support=SupportInterval(-math.inf, b),
-        cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
-        rhr=rhr, eit=eit,
+        cdf=_from_log(log_cdf), pdf=_from_log(log_pdf), quantile=quantile, log_cdf=log_cdf,
+        log_pdf=log_pdf, rhr=rhr, eit=eit,
     )
 
 
@@ -334,6 +362,7 @@ def _build_reflweibull(spec, theta, k):
     kp1 = k + 1
     s = 1.0 / kp1
     log_theta = math.log(theta)
+    log_kp1_theta = math.log(kp1 * theta)
 
     def _w_log(t):
         return log_theta + kp1 * math.log(-t)
@@ -346,19 +375,22 @@ def _build_reflweibull(spec, theta, k):
             return -math.inf
         return -math.exp(wl)
 
-    def pdf(t):
+    def log_pdf(t):
         if t == 0.0:
-            return 0.0  # density vanishes at the endpoint for every k >= 1
+            return -math.inf  # density vanishes at the endpoint for every k >= 1
         wl = _w_log(t)
         if wl > 700.0:
-            return 0.0
-        return _flushed_exp(math.log(kp1 * theta) + k * math.log(-t) - math.exp(wl))
+            return -math.inf
+        return log_kp1_theta + k * math.log(-t) - math.exp(wl)
 
     def quantile(p):
         return -((-np.log(p)) / theta) ** s
 
     def rhr(t):
         return kp1 * theta * (-t) ** k
+
+    def log_rhr(t):
+        return log_kp1_theta + k * math.log(-t)  # (-t)**k underflows near 0
 
     def eit(t):
         if t == 0.0:
@@ -379,14 +411,16 @@ def _build_reflweibull(spec, theta, k):
     return DistributionModel(
         spec=spec,
         support=SupportInterval(-math.inf, 0.0),
-        cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
-        rhr=rhr, eit=eit, rai=lambda t: float(kp1), moments=moments,
+        cdf=_from_log(log_cdf), pdf=_from_log(log_pdf), quantile=quantile, log_cdf=log_cdf,
+        log_pdf=log_pdf, rhr=rhr, eit=eit, rai=lambda t: float(kp1), moments=moments,
+        log_rhr=log_rhr,
     )
 
 
 def _build_finiterange(spec, theta, b, k):
     kp1 = k + 1
     log_b = math.log(b)
+    log_theta = math.log(theta)
     bk1 = b ** kp1
 
     def log_cdf(t):
@@ -395,9 +429,9 @@ def _build_finiterange(spec, theta, b, k):
     def cdf(t):
         return math.exp(log_cdf(t))
 
-    def pdf(t):
-        # F * (k/t + theta*(k+1)*t^k); t stays comfortably above 1e-290 in use
-        return cdf(t) * (k / t + theta * kp1 * t ** k)
+    def rhr(t):
+        # k/t + theta*(k+1)*t^k; t stays comfortably above 1e-290 in use
+        return k / t + theta * kp1 * t ** k
 
     def quantile(p):
         target = math.log(float(p))
@@ -407,12 +441,18 @@ def _build_finiterange(spec, theta, b, k):
         w = theta * t ** kp1
         return -math.expm1(-w) / (theta * kp1 * t ** k)
 
+    def log_eit(t):
+        # eit's t^k and w underflow into 0/0 at small t; log(1 - exp(-w)) -> log w
+        lw = log_theta + kp1 * math.log(t)
+        head = lw if lw < -700.0 else math.log(-math.expm1(-math.exp(min(lw, 700.0))))
+        return head - log_theta - math.log(kp1) - k * math.log(t)
+
+    pdf, log_pdf = _density(cdf, log_cdf, rhr)
     return DistributionModel(
         spec=spec,
         support=SupportInterval(0.0, b),
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
-        rhr=lambda t: k / t + theta * kp1 * t ** k,
-        eit=eit,
+        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf, log_pdf=log_pdf,
+        rhr=rhr, eit=eit, log_eit=log_eit,
     )
 
 
@@ -429,7 +469,9 @@ def _build_linearmit(spec, xi, alpha, beta, b):
             raise ParameterError("linearmit with beta=0 needs alpha > 0")
         # the constant-rate model under the linearmit identity, with the
         # inactivity time as the family states it
-        return replace(_constant_rate(spec, 1.0 / (xi * alpha), b), eit=lambda t: xi * alpha)
+        log_xa = math.log(xi * alpha)
+        return replace(_constant_rate(spec, 1.0 / (xi * alpha), b), eit=lambda t: xi * alpha,
+                       log_eit=lambda t: log_xa)
 
     vb = alpha + beta * b
     if vb <= 0.0:
@@ -449,9 +491,9 @@ def _build_linearmit(spec, xi, alpha, beta, b):
     def cdf(t):
         return math.exp(log_cdf(t))
 
-    def pdf(t):
+    def log_pdf(t):
         v = alpha + beta * t
-        return _flushed_exp(math.log(q * beta / v) + q * (math.log(v) - log_vb))
+        return math.log(q * beta / v) + q * (math.log(v) - log_vb)
 
     def quantile(p):
         return (vb * p ** (1.0 / q) - alpha) / beta
@@ -474,7 +516,7 @@ def _build_linearmit(spec, xi, alpha, beta, b):
     return DistributionModel(
         spec=spec,
         support=support,
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf,
+        cdf=cdf, pdf=_from_log(log_pdf), quantile=quantile, log_cdf=log_cdf, log_pdf=log_pdf,
         rhr=lambda t: q * beta / (alpha + beta * t),
         eit=lambda t: xi * (alpha + beta * t),
         rai=rai,
@@ -488,11 +530,8 @@ def _build_explinkedeit(spec, theta, b):
     def log_cdf(t):
         return (t - b) + theta * (math.exp(t) - eb)
 
-    def pdf(t):
-        lf = log_cdf(t)
-        if lf < -745.0:
-            return 0.0
-        return math.exp(lf) * (1.0 + theta * math.exp(t))
+    def rhr(t):
+        return 1.0 + theta * math.exp(t)
 
     def quantile(p):
         return _bracketed_quantile(log_cdf, float(p), b)
@@ -503,12 +542,13 @@ def _build_explinkedeit(spec, theta, b):
             return 1.0
         return -math.expm1(-w) / w
 
+    cdf = _from_log(log_cdf)
+    pdf, log_pdf = _density(cdf, log_cdf, rhr)
     return DistributionModel(
         spec=spec,
         support=SupportInterval(-math.inf, b),
-        cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
-        rhr=lambda t: 1.0 + theta * math.exp(t),
-        eit=eit,
+        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf, log_pdf=log_pdf,
+        rhr=rhr, eit=eit,
     )
 
 
@@ -520,11 +560,8 @@ def _build_basealinkedeit(spec, gamma, delta, a_base, b):
     def log_cdf(t):
         return gamma * (t - b) + delta * (math.exp(t * ln_a) - ab)
 
-    def pdf(t):
-        lf = log_cdf(t)
-        if lf < -745.0:
-            return 0.0
-        return math.exp(lf) * (gamma + delta * ln_a * math.exp(t * ln_a))
+    def rhr(t):
+        return gamma + delta * ln_a * math.exp(t * ln_a)
 
     def quantile(p):
         return _bracketed_quantile(log_cdf, float(p), b)
@@ -544,12 +581,13 @@ def _build_basealinkedeit(spec, gamma, delta, a_base, b):
                 break
         return math.exp(-w) * acc / ln_a
 
+    cdf = _from_log(log_cdf)
+    pdf, log_pdf = _density(cdf, log_cdf, rhr)
     return DistributionModel(
         spec=spec,
         support=SupportInterval(-math.inf, b),
-        cdf=_cdf_from_log(log_cdf), pdf=pdf, quantile=quantile, log_cdf=log_cdf,
-        rhr=lambda t: gamma + delta * ln_a * math.exp(t * ln_a),
-        eit=eit,
+        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf, log_pdf=log_pdf,
+        rhr=rhr, eit=eit,
     )
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .distributions import DistributionModel, format_family
@@ -220,16 +221,16 @@ class FunctionalProfile:
 
 
 def functional_profile(model: DistributionModel, t: float) -> FunctionalProfile:
-    """Evaluate every functional at t; rai is None for unbounded supports."""
+    """Every functional at t, rai None on unbounded supports; an overflow is a DomainError."""
     _require_interior(model, t)
-    rai_val: Optional[float] = None
+    closures = {"cdf": model.cdf, "pdf": model.pdf,
+                "rhr": partial(rhr, model), "eit": partial(eit, model)}
     if math.isfinite(model.support.upper):
-        rai_val = rai(model, t)
-    return FunctionalProfile(
-        t=t,
-        cdf=model.cdf(t),
-        pdf=model.pdf(t),
-        rhr=rhr(model, t),
-        eit=eit(model, t),
-        rai=rai_val,
-    )
+        closures["rai"] = partial(rai, model)
+    values = {}
+    for name, fn in closures.items():
+        try:
+            values[name] = fn(t)
+        except OverflowError:
+            raise DomainError(f"{name} overflows at t={t!r}") from None
+    return FunctionalProfile(t=t, rai=values.pop("rai", None), **values)

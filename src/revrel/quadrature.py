@@ -14,19 +14,26 @@ properties that off-the-shelf fixed rules do not combine:
 The core rule is tanh-sinh (double-exponential) quadrature on a finite
 interval. Abscissas cluster doubly-exponentially at both endpoints, so
 integrable endpoint singularities like x**-1/2 converge at machine-level
-accuracy without any special casing. Divergence is classified by two
-heuristics: the transformed integrand failing to decay near the clamp of
-the node window, and the running estimate growing by more than a fixed
-factor over several consecutive refinement levels. Interval halving is
-the fallback for interior trouble. Integrands that only become tractable
-past the double-precision node horizon (exponents within ~1e-6 of a
-divergent power) are reported Divergent by the decay heuristic; that is a
-documented limitation of the classification, not of the estimate.
+accuracy without any special casing. Divergence has four signals: the
+transformed integrand failing to decay near the clamp of the node window
+(the tail-slope rule); the running estimate growing by more than a fixed
+factor over several consecutive levels; an infinite value at any node of a
+half line, which no finite chunk peeled off it could hold; and, on a pass
+about to give up, the tail-slope rule on a probe just inside the last node
+that can be placed, where an endpoint's nodes round onto it (closer than
+one ulp) before the tail window. Interval halving is the fallback for
+interior trouble. Integrands that only become tractable past the
+double-precision node horizon are reported Divergent by the decay rules:
+exponents within ~1e-6 of a divergent power, or within ~0.1 at an endpoint
+that rounds ((1-x)**-0.91 on (0, 1) has 4% of its mass within one ulp of
+1). That is a documented limitation of the classification, not of the
+estimate.
 
 One pass serves finite intervals and half lines through two node maps,
-x = lo + q*(hi - lo) and x = anchor +/- u/(1-u) (see _build_levels). Only
-the split rule differs: a finite interval is halved, a half line peels off
-a finite chunk next to its anchor. Sampling lives in ``empirics``.
+x = lo + q*(hi - lo) and x = anchor +/- u/(1-u) (see _nodes). Only the split
+rule differs: a finite interval is halved, a half line peels off a finite
+chunk next to its anchor. ``expectation`` integrates in log space. Sampling
+lives in ``empirics``.
 """
 
 from __future__ import annotations
@@ -68,10 +75,11 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class ExpectationSpec:
-    """A weighted expectation E[weight(X)] against a distribution model."""
+    """E[w(X)] against a model: weight is w, or log|w| when sign (x -> +/-1.0) is given."""
 
     model: object
     weight: Callable[[float], float]
+    sign: Optional[Callable[[float], float]] = None
 
 
 # Node horizon. At |t| = 6 the endpoint distance sigma*sigmac is ~8.6e-276,
@@ -86,10 +94,11 @@ _GROWTH_RUNS = 5
 _MIN_LEVEL = 3
 _MAX_DEPTH = 50
 _EVAL_BUDGET = 400_000
+_PROBE_NODES = 8
 
 
-def _build_levels(max_level):
-    """Per-level node tables (t, frame, q, w, om) of the finite and half-line maps.
+def _nodes(t):
+    """The node at t as (frame, q, w, om) in the finite and in the half-line map.
 
     A node sits at x = base + step*q for its frame's (base, step), and its
     du weight w is divided by the Jacobian factor om twice.  A finite
@@ -99,8 +108,22 @@ def _build_levels(max_level):
     the one frame (anchor, sign).  Its u/(1-u) and 1-u come from the
     endpoint-distance fractions instead of from u as a float, so the far
     tail keeps its full double-exponential reach (|x| up to ~1e275) instead
-    of being clipped at 1/ulp.
+    of being clipped at 1/ulp.  None where the node has no weight left.
     """
+    s = 0.5 * math.pi * math.sinh(t)
+    em = math.exp(-2.0 * abs(s))
+    near = em / (1.0 + em)          # fraction of length to the nearest endpoint
+    far = 1.0 / (1.0 + em)
+    w = math.pi * math.cosh(t) * near * far
+    if near == 0.0 or w == 0.0:
+        return None
+    # 1 - near is exact: near <= 0.5 by construction
+    u, om = (near, 1.0 - near) if t < 0.0 else (1.0 - near, near)
+    return (0 if t <= 0.0 else 1, near, w, 1.0), (0, u / om, w, om)
+
+
+def _build_levels(max_level):
+    """Per-level node tables (t, frame, q, w, om) of the finite and half-line maps."""
     finite, half_line = [], []
     for k in range(max_level + 1):
         h = 0.5 ** k
@@ -117,17 +140,10 @@ def _build_levels(max_level):
         finite.append([])
         half_line.append([])
         for t in ts:
-            s = 0.5 * math.pi * math.sinh(t)
-            em = math.exp(-2.0 * abs(s))
-            near = em / (1.0 + em)          # fraction of length to the nearest endpoint
-            far = 1.0 / (1.0 + em)
-            w = math.pi * math.cosh(t) * near * far
-            if near == 0.0 or w == 0.0:
-                continue
-            finite[-1].append((t, 0 if t <= 0.0 else 1, near, w, 1.0))
-            # 1 - near is exact: near <= 0.5 by construction
-            u, om = (near, 1.0 - near) if t < 0.0 else (1.0 - near, near)
-            half_line[-1].append((t, 0, u / om, w, om))
+            pair = _nodes(t)
+            if pair is not None:
+                finite[-1].append((t,) + pair[0])
+                half_line[-1].append((t,) + pair[1])
     return tuple(map(tuple, finite)), tuple(map(tuple, half_line))
 
 
@@ -156,14 +172,56 @@ def _fit_slope(points):
     return num / den
 
 
+def _edge_probe(f, half_line, frames, lo, hi, length, target, budget):
+    """Signal 2 as (evaluations, divergent), for a pass about to give up.
+
+    Where a side's nodes round onto its endpoint before the tail window, apply
+    the tail-slope rule to _PROBE_NODES nodes over one window just inside the
+    last node that can be placed.
+    """
+    evaluations = 0
+    tail_start = _T_MAX - _TAIL_WINDOW
+    dt = _TAIL_WINDOW / _PROBE_NODES
+
+    def place(t):  # (x, weight over the Jacobian) of the node at t
+        frame, q, w, om = _nodes(t)[half_line]
+        base, step = frames[frame]
+        return base + step * q, w / om / om
+
+    inside = lambda t: lo < place(t)[0] < hi
+    for side in (-1.0, 1.0):
+        if inside(side * tail_start):
+            continue  # the tail window is placeable, the sweep's own rule covers it
+        a, b = 0.0, tail_start  # bisect for the last placeable |t|
+        for _ in range(40):
+            m = 0.5 * (a + b)
+            a, b = (m, b) if inside(side * m) else (a, m)
+        pts, mass = [], 0.0
+        for j in range(1, _PROBE_NODES + 1):
+            if a - j * dt <= 0.0:
+                break
+            t = side * (a - j * dt)
+            x, w = place(t)
+            g = _safe_eval(f, x) * w
+            evaluations += 1
+            budget[0] -= 1
+            if g != 0.0 and math.isfinite(g):
+                pts.append((abs(t), math.log(abs(g))))
+                mass += abs(g) * dt * length
+        if len(pts) >= 3 and mass > target and _fit_slope(pts) > _TAIL_SLOPE:
+            return evaluations, True
+    return evaluations, False
+
+
 def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
     """One tanh-sinh sweep over the nodes of one map that fall inside (lo, hi).
 
     The level sum is scaled by h and then by length (1 on a half line).
-    Status MaxDepth means the sweep settled nothing: a non-finite value away
-    from the endpoints, or the level cap or the evaluation budget reached.
+    Status MaxDepth means the sweep settled nothing: a non-finite value inside
+    a finite interval, or the level cap or the evaluation budget reached.
     """
     levels_cap = _ROOT_LEVELS if depth == 0 else _CHILD_LEVELS
+    half_line = math.isinf(hi - lo)
     total_wf = 0.0
     s_prev = math.nan
     err = math.inf
@@ -172,6 +230,8 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
     # pooled non-zero tail samples (|t|, log|g|), one pool per endpoint side
     tail = {-1: [], 1: []}
     tail_abs_sum = 0.0
+    tail_start = _T_MAX - _TAIL_WINDOW
+    isfinite = math.isfinite  # a local: the node loop runs once per evaluation
 
     for k in range(levels_cap + 1):
         h = 0.5 ** k
@@ -189,17 +249,20 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
             g = fx * w
             if om != 1.0:  # dividing by 1 is exact, so finite nodes skip it
                 g = g / om / om
-            if not math.isfinite(g):
-                if abs(t) >= _T_MAX - _TAIL_WINDOW:
-                    if math.isnan(g):
+            if not isfinite(g):
+                edge = abs(t) >= tail_start
+                if math.isnan(g):
+                    if edge:
                         continue  # 0*inf artifact at an extreme node, no real mass
-                    # blow-up right at an endpoint that the open rule cannot absorb
+                elif edge or half_line:
+                    # a blow-up at an endpoint the open rule cannot absorb, or
+                    # signal 1: beyond float range on a half line
                     return QuadResult(total_wf * h * length, math.inf,
                                       QuadStatus.Divergent, evaluations)
                 return QuadResult(total_wf * h * length, math.inf,
                                   QuadStatus.MaxDepth, evaluations)
             new_wf += g
-            if abs(t) >= _T_MAX - _TAIL_WINDOW and g != 0.0:
+            if abs(t) >= tail_start and g != 0.0:
                 side = -1 if t < 0.0 else 1
                 tail[side].append((abs(t), math.log(abs(g))))
                 tail_abs_sum += abs(g)
@@ -229,7 +292,10 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
                                   evaluations)
         s_prev = s_cur
 
-    return QuadResult(s_prev, err, QuadStatus.MaxDepth, evaluations)
+    probed, divergent = _edge_probe(f, half_line, frames, lo, hi, length,
+                                    max(tol.abs_tol, tol.rel_tol * abs(s_prev)), budget)
+    status = QuadStatus.Divergent if divergent else QuadStatus.MaxDepth
+    return QuadResult(s_prev, math.inf if divergent else err, status, evaluations + probed)
 
 
 def _settled(p: QuadResult, depth: int, budget) -> bool:
@@ -313,23 +379,34 @@ def integrate_upper_unbounded(f: Callable[[float], float], lo: float,
     return _half_line(f, lo, 1.0, tol or DEFAULT_TOL, 0, [_EVAL_BUDGET])
 
 
-def expectation(spec: ExpectationSpec, tol: Optional[Tolerances] = None) -> QuadResult:
-    """E[weight(X)] for the model in spec, signs preserved.
+_NO_LOG_WEIGHT = lambda x: 0.0
 
-    The integrand evaluates the density first and short-circuits to zero
-    wherever it vanishes, so weights may blow up in regions the model puts
-    no mass on.
+
+def expectation(spec: ExpectationSpec, tol: Optional[Tolerances] = None) -> QuadResult:
+    """E[w(X)] for the model in spec, signs preserved.
+
+    A weight is w(x) = factor(x)*exp(log_w(x)), with (log_w, factor) =
+    (log|w|, sign) when spec gives a sign and (0, w) for a plain weight.
+    The one integrand factor(x)*exp(log_pdf(x) + log_w(x)) exponentiates
+    once, so a density below float range keeps its finite product with a
+    weight above it.  It is 0 without the weight where log_pdf is -inf, and
+    without the factor (a plain w) where the product underflows.
     """
     model = spec.model
-    weight = spec.weight
+    log_pdf = model.log_pdf
+    if spec.sign is None:
+        log_w, factor = _NO_LOG_WEIGHT, spec.weight
+    else:
+        log_w, factor = spec.weight, spec.sign
     lo = model.support.lower
     hi = model.support.upper
 
-    def integrand(x):
-        p = model.pdf(x)
-        if p == 0.0:
+    def integrand(x, exp=math.exp, no_mass=-math.inf):
+        lp = log_pdf(x)
+        if lp == no_mass:
             return 0.0
-        return p * weight(x)
+        m = exp(lp + log_w(x))
+        return factor(x) * m if m != 0.0 else 0.0
 
     if math.isinf(lo) and math.isinf(hi):
         raise ParameterError("doubly unbounded supports are not used here")

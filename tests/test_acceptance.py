@@ -62,7 +62,7 @@ def _run(theorem, text, tol=None, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# 1. the full matrix holds direction everywhere it converges, under a minute
+# 1. the full matrix holds direction everywhere it converges, in under 10 s
 
 def test_criterion_1_matrix_direction_and_runtime(matrix_run):
     reports, elapsed = matrix_run
@@ -75,8 +75,8 @@ def test_criterion_1_matrix_direction_and_runtime(matrix_run):
         if math.isfinite(r.ratio) and r.ratio < 1.0 - 1e-4:
             problems.append(
                 f"{r.theorem.value} x {r.family.family}: ratio {r.ratio} below band")
-    if elapsed >= 60.0:
-        problems.append(f"matrix took {elapsed:.1f}s, budget is 60s")
+    if elapsed >= 10.0:
+        problems.append(f"matrix took {elapsed:.1f}s, budget is 10s")
     _report(1, "matrix-direction-and-runtime", problems,
             f"220 cells in {elapsed:.1f}s")
 

@@ -230,6 +230,37 @@ def test_mixed_moment_product_rhs_is_squared_mean():
     assert r.lhs == pytest.approx(0.25, rel=1e-10)
 
 
+# Off-catalog cells that once ended Divergent because a factor weight left
+# float range where the density had already underflowed; each has a closed
+# form.  On power, E[X^r] = c*b^r/(c + r), rhr = c/x and eit = x/(c + 1).
+LOG_SPACE_ORACLES = (
+    # E[1/(X^2*eit)] * E[X^2*eit] = E[X^-3] * E[X^3]
+    (TheoremId.T3_3, "power:b=1.2593783959783937,c=3.605543941500053",
+     lambda c: c * c / (c * c - 9.0), 3.605543941500053),
+    # E[rhr/X] = c^2/((c - 2)*b^2) against 2/(b^2 - mu_2) = (c + 2)/b^2
+    (TheoremId.T2_9, "power:b=1.9887177168673578,c=2.6983436680949473",
+     lambda c: c * c / (c * c - 4.0), 2.6983436680949473),
+    # rhr = 4*theta*(-x)^3: the product is Gamma(1/4)*Gamma(7/4) for every theta
+    (TheoremId.T2_1, "reflweibull:theta=0.5920208087008805,k=3",
+     lambda c: float(sc.gamma(0.25) * sc.gamma(1.75)), None),
+)
+
+
+@pytest.mark.parametrize("theorem,text,ratio,c", LOG_SPACE_ORACLES)
+def test_log_space_weights_converge_to_closed_forms(theorem, text, ratio, c):
+    r = _run(theorem, text)
+    assert r.verdict is Verdict.StrictInequality, r.note
+    assert r.ratio == pytest.approx(ratio(c), rel=1e-9)
+
+
+def test_finiterange_inactivity_product_keeps_its_value():
+    # eit = -expm1(-w)/(theta*(k+1)*t^k) is 0/0 where t^k underflows; the
+    # integrand uses the log-native log_eit there
+    r = _run(TheoremId.T3_1, "finiterange:theta=0.7571525810576776,b=1.5560896731567229,k=3")
+    assert r.verdict is Verdict.StrictInequality
+    assert r.ratio == pytest.approx(1.0211315264855627, rel=1e-9)
+
+
 def test_run_check_rejects_nonpositive_eq_tol():
     with pytest.raises(ParameterError):
         run_check(make_check(TheoremId.T2_1), model_from_text("power:b=1,c=2"),
@@ -249,6 +280,14 @@ def test_matrix_matches_frozen_grid(matrix_run):
         want = [_CODE[c] for c in row.split()]
         for fam, w in zip(FAMILY_ORDER, want):
             assert got[tid][fam] is w, f"{tid} x {fam}: {got[tid][fam]} != {w}"
+
+
+def test_matrix_cells_stay_within_ten_thousand_evaluations(matrix_run):
+    # no cell may reach the engine's budget: each ends on a decision
+    reports, _ = matrix_run
+    for r in reports:
+        used = sum(c.evaluations for c in r.components)
+        assert used <= 10_000, f"{r.theorem.value} x {r.family.family}: {used}"
 
 
 def test_matrix_verdict_counts(matrix_run):

@@ -63,6 +63,21 @@ def test_finite_near_divergent_power_hits_depth_cap():
     assert abs(res.value - 100.0) < 0.5
 
 
+def test_finite_divergence_past_the_last_placeable_node():
+    # nodes within one ulp of -2 round onto it, so the sweep never reaches
+    # the tail window there; the probe just inside the last placeable node
+    # sees (x+2)^-1.5 fail to decay
+    res = integrate_finite(lambda x: (x + 2.0) ** -1.5, -2.0, 0.0)
+    assert res.status is QuadStatus.Divergent
+    assert res.evaluations < 10_000
+
+
+def test_finite_convergence_past_the_last_placeable_node():
+    res = integrate_finite(lambda x: (x + 2.0) ** -0.5, -2.0, 0.0)
+    assert res.status is QuadStatus.Converged
+    assert res.value == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-7)
+
+
 def test_finite_oscillatory():
     res = integrate_finite(lambda x: math.sin(x), 0.0, 2.0 * math.pi)
     assert res.status is QuadStatus.Converged
@@ -131,6 +146,14 @@ def test_upper_unbounded_power_tail():
 def test_upper_unbounded_harmonic_divergence():
     res = integrate_upper_unbounded(lambda x: 1.0 / x, 1.0)
     assert res.status is QuadStatus.Divergent
+
+
+def test_upper_unbounded_overflow_is_divergent():
+    # exp(x) leaves float range at x ~ 710, a node long before the tail
+    # window; no finite chunk peeled off the half line could hold that value
+    res = integrate_upper_unbounded(math.exp, 0.0)
+    assert res.status is QuadStatus.Divergent
+    assert res.evaluations < 100
 
 
 def test_upper_unbounded_gamma_integrand():
