@@ -1,9 +1,12 @@
 """Right-truncated distribution families with closed-form reversed-time functionals.
 
-Each family is built as a bundle of scalar closures (cdf, pdf, quantile,
+Each family is built as a bundle of closures (cdf, pdf, quantile,
 log-cdf, log-pdf, and the closed-form reversed hazard rate and expected
 inactivity time) plus the reversed aging intensity and raw moments where
-closed forms exist. Numerical code elsewhere in the package treats the
+closed forms exist. All of them take a float; quantile also takes a numpy
+array of probabilities, and the three families without a closed inverse
+solve every element at once by Newton's method (``_newton_quantile``).
+Numerical code elsewhere in the package treats the
 bundle as opaque: integration only ever touches cdf and log_pdf on the
 open support, so the closures are written to degrade cleanly (underflow to
 exact zero or -inf, never overflow) at extreme arguments. log_pdf stays
@@ -28,7 +31,6 @@ from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
 import scipy.special as sc
-from scipy.optimize import brentq
 
 from .errors import DivergentMoment, DomainError, ParameterError
 
@@ -144,6 +146,39 @@ def _from_log(log_fn):
 def _density(cdf, log_cdf, rhr):
     """pdf = F*rhr and log_pdf = log F + log rhr, for a family whose rhr is a sum."""
     return (lambda t: cdf(t) * rhr(t)), (lambda t: log_cdf(t) + math.log(rhr(t)))
+
+
+_NEWTON_CAP = 100
+
+
+def _newton_quantile(p, x0, log_cdf, slope, abs_tol, rel_tol=0.0, to_t=None):
+    """Solve log_cdf(x) = log p by Newton's method for a scalar or an array p.
+
+    log_cdf is a numpy expression, increasing and convex in x, with slope its
+    derivative and log_cdf(x0) = 0, so the iteration started at x0 falls
+    toward each root without overshooting and needs no bracket. Each element
+    stops once its step is within abs_tol + rel_tol*|x|, or turns back: in
+    exact arithmetic every step moves left, so a step to the right is
+    rounding noise at the root, where the tolerance can lie below the spacing
+    of floats. A stopped element is not touched again, so an array solve
+    equals the elementwise scalar solves bit for bit. to_t maps the solved x
+    back to t. A scalar p gives a float.
+    """
+    arr = np.asarray(p, dtype=float)
+    target = np.log(arr.ravel())
+    x = np.full(target.shape, float(x0))
+    active = np.arange(x.size)
+    for _ in range(_NEWTON_CAP):
+        xa = x[active]
+        step = (log_cdf(xa) - target[active]) / slope(xa)
+        xa = xa - step
+        x[active] = xa
+        active = active[~(step <= abs_tol + rel_tol * np.abs(xa))]  # NaN keeps going
+        if active.size == 0:
+            if to_t is not None:
+                x = to_t(x)
+            return float(x[0]) if arr.ndim == 0 else x.reshape(arr.shape)
+    raise DomainError(f"Newton quantile did not converge in {_NEWTON_CAP} steps")
 
 
 def _constant_rate(spec, gamma, b):
@@ -434,8 +469,12 @@ def _build_finiterange(spec, theta, b, k):
         return k / t + theta * kp1 * t ** k
 
     def quantile(p):
-        target = math.log(float(p))
-        return brentq(lambda t: log_cdf(t) - target, b * 1e-300, b, xtol=1e-300, rtol=1e-15)
+        # log F is convex in s = log t, with slope t*rhr(t)
+        return _newton_quantile(
+            p, log_b,
+            lambda s: k * (s - log_b) + theta * (np.exp(kp1 * s) - bk1),
+            lambda s: k + theta * kp1 * np.exp(kp1 * s),
+            4e-15, to_t=np.exp)
 
     def eit(t):
         w = theta * t ** kp1
@@ -502,7 +541,8 @@ def _build_linearmit(spec, xi, alpha, beta, b):
         if t >= b:
             return 1.0
         v = alpha + beta * t
-        return (t - b) * beta / (v * math.log(v / vb))
+        # log(v/vb) as log1p of v/vb - 1, which keeps its digits as t -> b
+        return (t - b) * beta / (v * math.log1p(beta * (t - b) / vb))
 
     def moments(r):
         if beta < 0.0 and r >= -q:
@@ -534,7 +574,8 @@ def _build_explinkedeit(spec, theta, b):
         return 1.0 + theta * math.exp(t)
 
     def quantile(p):
-        return _bracketed_quantile(log_cdf, float(p), b)
+        return _newton_quantile(p, b, lambda t: (t - b) + theta * (np.exp(t) - eb),
+                                lambda t: 1.0 + theta * np.exp(t), 1e-13, 4e-15)
 
     def eit(t):
         w = theta * math.exp(t)
@@ -564,7 +605,9 @@ def _build_basealinkedeit(spec, gamma, delta, a_base, b):
         return gamma + delta * ln_a * math.exp(t * ln_a)
 
     def quantile(p):
-        return _bracketed_quantile(log_cdf, float(p), b)
+        return _newton_quantile(
+            p, b, lambda t: gamma * (t - b) + delta * (np.exp(t * ln_a) - ab),
+            lambda t: gamma + delta * ln_a * np.exp(t * ln_a), 1e-13, 4e-15)
 
     def eit(t):
         # (exp(-w)/ln a) * sum_n w^n / (n! (s+n)) with w = delta*a^t
@@ -589,21 +632,6 @@ def _build_basealinkedeit(spec, gamma, delta, a_base, b):
         cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf, log_pdf=log_pdf,
         rhr=rhr, eit=eit,
     )
-
-
-def _bracketed_quantile(log_cdf, p, b):
-    # expand a bracket below b until the log-cdf falls under log(p)
-    target = math.log(p)
-    step = 1.0
-    lo = b - step
-    for _ in range(200):
-        if log_cdf(lo) < target:
-            break
-        step *= 2.0
-        lo = b - step
-    else:
-        raise DomainError("quantile bracket expansion failed")
-    return brentq(lambda t: log_cdf(t) - target, lo, b, xtol=1e-13, rtol=1e-15)
 
 
 # admissible-range rules: (what the message says, test, value handed to the builder)

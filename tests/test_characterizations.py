@@ -10,6 +10,7 @@ loudly here.
 import json
 import math
 
+import mpmath
 import pytest
 import scipy.special as sc
 
@@ -60,8 +61,8 @@ FROZEN_GRID = {
     "T3_7":  "ST ST DV ST ST ST DV ST ST ST DV",
     "T4_1":  "EQ DV DV ST ST ST DV DV ST ST DV",
     "T4_2":  "EQ ST DV ST ST ST DV DV ST ST DV",
-    "T4_3":  "EQ ST DM ST ST ST ST DV ST ST ST",
-    "T4_4":  "EQ ST DM ST ST ST ST DV ST ST ST",
+    "T4_3":  "EQ ST DM ST ST ST ST ST ST ST ST",
+    "T4_4":  "EQ ST DM ST ST ST ST ST ST ST ST",
 }
 _CODE = {"EQ": Verdict.Equality, "ST": Verdict.StrictInequality,
          "DV": Verdict.Divergent, "DM": Verdict.DomainMismatch}
@@ -296,10 +297,38 @@ def test_matrix_verdict_counts(matrix_run):
     for r in reports:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1
     assert counts[Verdict.Equality] == 16
-    assert counts[Verdict.StrictInequality] == 95
-    assert counts[Verdict.Divergent] == 69
+    assert counts[Verdict.StrictInequality] == 97
+    assert counts[Verdict.Divergent] == 67
     assert counts[Verdict.DomainMismatch] == 40
     assert counts.get(Verdict.Violation, 0) == 0
+
+
+def _linearmit_rai_ratios():
+    """T4_3 and T4_4 (k=1) on linearmit:xi=0.8,alpha=1,beta=0.5,b=0, at 30 digits.
+
+    F(t) = v^q with v = 1 + t/2 and q = 1.5 on (-2, 0), so
+    rai/rhr = (b - t)/(-log F(t)); -log F is written with log1p so the
+    integrand stays finite at the nodes tanh-sinh places next to b = 0.
+    """
+    with mpmath.workdps(30):
+        q = mpmath.mpf(3) / 2
+        pdf = lambda t: q / 2 * (1 + t / 2) ** (q - 1)
+        neg_log_cdf = lambda t: -q * mpmath.log1p(t / 2)
+        e = lambda g: mpmath.quad(lambda t: pdf(t) * g(t), [-2, 0])
+        a = e(lambda t: -t / neg_log_cdf(t))
+        c = e(lambda t: neg_log_cdf(t) / -t)
+        ax = e(lambda t: t * -t / neg_log_cdf(t))
+        cx = e(lambda t: t * neg_log_cdf(t) / -t)
+        mu = e(lambda t: t)
+        return float(a * c), float(ax * cx / (mu * mu))
+
+
+def test_linearmit_rai_checks_match_an_mpmath_oracle():
+    model = model_from_text("linearmit:xi=0.8,alpha=1,beta=0.5,b=0")
+    for tid, want in zip((TheoremId.T4_3, TheoremId.T4_4), _linearmit_rai_ratios()):
+        r = run_check(make_check(tid), model)
+        assert r.verdict is Verdict.StrictInequality, (tid, r.note)
+        assert r.ratio == pytest.approx(want, rel=1e-9)
 
 
 def test_matrix_equalities_are_structural_and_tight(matrix_run):

@@ -9,11 +9,14 @@ package output.
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
+import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from revrel.distributions import (
     DistributionModel,
     FamilySpec,
     SupportInterval,
+    _newton_quantile,
     cdf_at,
     format_family,
     make_distribution,
@@ -425,3 +429,94 @@ def test_invweibull_near_origin_underflows():
     model = model_from_text("invweibull:nu=1,delta=3")
     assert cdf_at(model, 1e-3) == 0.0
     assert pdf_at(model, 1e-3) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Newton quantiles of the three families whose cdf has no closed inverse
+
+NEWTON_TEXTS = (
+    "finiterange:theta=0.5,b=1,k=1",
+    "explinkedeit:theta=1,b=0",
+    "basealinkedeit:gamma=1,delta=1,a_base=2,b=0",
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-310, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53])
+@pytest.mark.parametrize("text", NEWTON_TEXTS)
+def test_newton_quantile_at_extreme_p(text, p):
+    model = model_from_text(text)
+    t = quantile_at(model, p)
+    assert model.support.lower < t <= model.support.upper
+    if abs(t) >= sys.float_info.min:
+        assert model.log_cdf(t) == pytest.approx(math.log(p), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("text", NEWTON_TEXTS)
+def test_newton_quantile_of_a_scalar_is_a_float(text):
+    assert type(model_from_text(text).quantile(0.3)) is float
+
+
+def _reference_quantile(model, p):
+    """brentq on log F(t) = log p, below the upper endpoint b."""
+    b = model.support.upper
+    target = math.log(p)
+    hi = lo = b
+    step = 1.0
+    while model.log_cdf(lo) >= target:  # halve toward 0, or step down twice as far
+        hi, lo = lo, lo / 2.0 if model.spec.family == "finiterange" else b - step
+        step *= 2.0
+    return scipy.optimize.brentq(lambda t: model.log_cdf(t) - target, lo, hi,
+                                 xtol=1e-300, rtol=1e-15)
+
+
+NEWTON_SPECS = st.one_of(
+    st.builds(lambda theta, b, k: f"finiterange:theta={theta!r},b={b!r},k={k}",
+              st.floats(0.01, 20.0), st.floats(0.1, 5.0), st.integers(1, 6)),
+    st.builds(lambda theta, b: f"explinkedeit:theta={theta!r},b={b!r}",
+              st.floats(0.01, 20.0), st.floats(-5.0, 5.0)),
+    st.builds(lambda g, d, a, b: f"basealinkedeit:gamma={g!r},delta={d!r},a_base={a!r},b={b!r}",
+              st.floats(0.05, 5.0), st.floats(0.01, 5.0), st.floats(1.1, 10.0),
+              st.floats(-5.0, 5.0)),
+)
+
+
+@given(text=NEWTON_SPECS,
+       ps=st.lists(st.floats(1e-15, 1.0 - 1e-15), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_newton_quantile_matches_brentq_and_its_scalar_calls(text, ps):
+    model = model_from_text(text)
+    got = model.quantile(np.array(ps))
+    assert _bits(got) == _bits([model.quantile(p) for p in ps])
+    for p, t in zip(ps, got):
+        want = _reference_quantile(model, p)
+        assert abs(t - want) <= 1e-13 + 4e-15 * abs(want), (p, t, want)
+
+
+def test_newton_quantile_raises_when_it_cannot_converge():
+    # a log-cdf that never reaches log p: every step has the same length
+    with pytest.raises(DomainError, match="did not converge"):
+        _newton_quantile(np.array([0.5, 0.25]), 0.0, lambda x: np.ones_like(x),
+                         lambda x: np.ones_like(x), 1e-13)
+
+
+def test_newton_quantile_stops_where_floats_in_log_t_are_wider_than_its_tolerance():
+    # the root sits at log t = -91.4, where neighbouring floats lie 1.4e-14 apart
+    model = model_from_text("finiterange:theta=1.01,b=1.1875,k=5")
+    t = quantile_at(model, 1e-200)
+    assert model.log_cdf(t) == pytest.approx(math.log(1e-200), rel=0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# linearmit's reversed aging intensity near b
+
+@pytest.mark.parametrize("text", ["linearmit:xi=0.8,alpha=1,beta=0.5,b=0",
+                                  "linearmit:xi=0.5,alpha=2,beta=0.9,b=1"])
+@pytest.mark.parametrize("gap", [3e-15, 1e-16])
+def test_linearmit_rai_tends_to_one_at_b(text, gap):
+    model = model_from_text(text)
+    assert model.rai(model.support.upper - gap) == pytest.approx(1.0, rel=0.0, abs=1e-12)
+

@@ -17,7 +17,7 @@ from revrel.empirics import (
     read_samples,
     sample_inverse_cdf,
 )
-from revrel.characterizations import TheoremId
+from revrel.characterizations import TheoremId, default_models
 from revrel.errors import NoMass, ParameterError, TooFewPoints
 
 
@@ -115,6 +115,16 @@ def test_gap_ratio_near_one_for_matching_generator():
     ratios = {g.theorem: g.ratio_hat for g in gap_statistics(s)}
     assert abs(ratios[TheoremId.T3_4] - 1.0) < 0.05
     assert abs(ratios[TheoremId.T3_1] - 1.0) > 0.08  # wrong model stays away
+
+
+@pytest.mark.parametrize("model", default_models(), ids=lambda m: m.spec.family)
+def test_every_catalog_quantile_takes_the_draw_array(model):
+    # sampling makes one quantile call on all draws, not one call per draw
+    u = np.array([2.0 ** -53, 0.1, 0.5, 0.9, 1.0 - 2.0 ** -53])
+    got = model.quantile(u)
+    assert isinstance(got, np.ndarray) and got.shape == u.shape
+    assert got.tolist() == pytest.approx([model.quantile(float(p)) for p in u],
+                                         rel=1e-14, abs=1e-300)
 
 
 # ---------------------------------------------------------------------------
