@@ -470,3 +470,16 @@ def test_csv_serialization_quotes_params():
     header, row = text.strip().splitlines()
     assert header.startswith("theorem,family,params,")
     assert '"b=1,c=2"' in row
+
+
+def test_constant_rate_model_gives_one_report_under_both_spellings():
+    # type3ev's b is a location, finite like linearmit's; b < 0 builds under both
+    checks = theorem_catalog()
+    assert len(checks) == 20
+    type3ev = model_from_text("type3ev:gamma=1,b=-1")
+    linearmit = model_from_text("linearmit:xi=1,alpha=1,beta=0,b=-1")
+    for a, b in zip(report_records([run_check(c, type3ev) for c in checks]),
+                    report_records([run_check(c, linearmit) for c in checks])):
+        assert (a.pop("family"), b.pop("family")) == ("type3ev", "linearmit")
+        del a["params"], b["params"]
+        assert a == b

@@ -2,8 +2,10 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +145,28 @@ def test_table_unbounded_support_drops_rai_and_warns():
     assert code == 0
     assert out.splitlines()[0] == "t,cdf,pdf,rhr,eit"
     assert "rai column omitted" in err
+
+
+def test_table_reflweibull_with_subnormal_theta_runs_clean():
+    # at a subnormal theta both (-log p)/theta, in the quantile, and
+    # sqrt(pi/theta), in eit, overflow; neither may reach the output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("table", "--family", "reflweibull:theta=1e-320,k=1",
+                                 "--grid", "8")
+    assert (code, err) == (0, "")
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 8
+    assert all(math.isfinite(v) for row in rows for v in row)
+
+
+def test_table_invweibull_with_integer_gamma_order():
+    # delta = 1 makes eit need Gamma(-1, z): the upward step in s must stop at
+    # Gamma(0, z) = E1(z) instead of dividing by s = 0
+    code, out, err = run_cli("table", "--family", "invweibull:nu=1,delta=1", "--grid", "8")
+    assert code == 0, err
+    eits = [float(line.split(",")[4]) for line in out.strip().splitlines()[1:]]
+    assert len(eits) == 8 and all(v > 0.0 and math.isfinite(v) for v in eits)
 
 
 def test_table_json_format():

@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revrel.distributions import (
+    _FAMILIES,
     DistributionModel,
     FamilySpec,
     SupportInterval,
@@ -325,7 +327,7 @@ BAD_SPECS = (
     "linearmit:xi=1,alpha=1,beta=1.2,b=0",   # xi*beta >= 1
     "linearmit:xi=2,alpha=1,beta=0.5,b=0",   # xi*beta = 1
     "linearmit:xi=1,alpha=0,beta=0,b=0",     # degenerate slope and intercept
-    "type3ev:gamma=2,b=-1",
+    "type3ev:gamma=2,b=inf",                 # b is a finite location
     "type3ev:gamma=0,b=0",
     "power:b=0,c=2",
     "power:b=1,c=-2",
@@ -520,3 +522,48 @@ def test_linearmit_rai_tends_to_one_at_b(text, gap):
     model = model_from_text(text)
     assert model.rai(model.support.upper - gap) == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
+
+
+# ---------------------------------------------------------------------------
+# quantiles next to a finite lower endpoint
+
+# per family with a finite lower endpoint, a model whose quantile at p = 1e-320
+# lies nearer that endpoint than the spacing of floats there
+NEAR_LOWER_TEXTS = {
+    "power": "power:b=1,c=0.01",
+    "uniform": "uniform:b=1e-300",
+    "invweibull": "invweibull:nu=1,delta=0.001",
+    "finiterange": "finiterange:theta=0.5,b=1e-5,k=1",
+    "linearmit": "linearmit:xi=0.8,alpha=1,beta=0.5,b=0",
+}
+
+
+def test_every_family_with_a_finite_lower_endpoint_is_probed():
+    finite = {model_from_text(text).spec.family for text in DEFAULT_TEXTS + SECOND_TEXTS
+              if math.isfinite(model_from_text(text).support.lower)}
+    assert finite == set(NEAR_LOWER_TEXTS) and set(NEAR_LOWER_TEXTS) <= set(_FAMILIES)
+
+
+@pytest.mark.parametrize("text", sorted(set(NEAR_LOWER_TEXTS.values()) | {
+    t for t in DEFAULT_TEXTS + SECOND_TEXTS if math.isfinite(model_from_text(t).support.lower)}))
+def test_quantile_stays_inside_the_open_support_at_tiny_p(text):
+    model = model_from_text(text)
+    lower, upper = model.support.lower, model.support.upper
+    assert lower < quantile_at(model, 1e-320) < upper
+    got = model.quantile(np.array([1e-320, 1e-300, 0.5]))
+    assert np.all((lower < got) & (got < upper))
+
+
+# ---------------------------------------------------------------------------
+# invweibull's inactivity time at an integer Gamma order s = -1/delta
+
+@pytest.mark.parametrize("delta", [1.0, 0.5, 3.0])
+@pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
+def test_invweibull_eit_matches_a_direct_mpmath_integral(delta, t):
+    # eit(t) = int_0^t F(x) dx / F(t) with F(x) = exp(-nu x^-delta)
+    nu = 1.5
+    model = model_from_text(f"invweibull:nu={nu},delta={delta}")
+    with mpmath.workdps(30):
+        cdf = lambda x: mpmath.exp(-nu * mpmath.mpf(x) ** -delta)
+        want = mpmath.quad(cdf, [0, t / 4, t]) / cdf(t)
+    assert model.eit(t) == pytest.approx(float(want), rel=1e-13)

@@ -1,0 +1,153 @@
+"""The pure-math special functions of ``distributions`` against mpmath.
+
+exp(y)E1(y), Gamma(s, z)exp(z), erfcx and Gamma are computed without scipy
+at run time. Each is checked at rel 1e-14 over the arguments the check matrix
+passes to it and the edges of its branches, and its worst error there is held
+to at most twice that of the scipy call it replaced (scipy stays a test-time
+reference only).
+"""
+
+import functools
+import importlib.util
+import math
+from pathlib import Path
+
+import mpmath as mp
+import numpy as np
+import pytest
+import scipy.special as sc
+
+from revrel import distributions as d
+from revrel._e1_table import E1_OCTAVES
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _logspace(lo, hi, n):
+    return [float(v) for v in np.geomspace(lo, hi, n)]
+
+
+def _around(*points):
+    out = []
+    for x in points:
+        out += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    return out
+
+
+# The matrix passes y in [1, 470] to E1, z in [1e-277, 43.6] with s = 2/3
+# (after one upward step from invweibull's s = -1/3) to Gamma(s, z), and
+# x in [4e-276, 7e151] to erfcx. The edges: the series/table switch at
+# y = 1/2, the octaves, the table/continued-fraction switch at 64, the old
+# asymptotic switch at 500; the series/continued-fraction switch at z = 1
+# and the asymptotic one at 45; erfcx's switch at 26.
+E1_ARGS = (_logspace(1.0, 470.0, 240) + _logspace(1e-300, 1.0, 40)
+           + _logspace(470.0, 1e300, 20)
+           + _around(0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 500.0))
+GAMMA_Z = _logspace(1e-277, 43.6, 120) + _around(1.0, 45.0)
+ERFCX_ARGS = (_logspace(4e-276, 7e151, 240) + _logspace(0.3, 40.0, 60)
+              + _around(26.0))
+# s of the reflweibull closures, 1/(k+1), and the moment arguments
+# 1 + r/(k+1) and 1 - r/delta for the catalog-like k and delta
+GAMMA_ARGS = sorted({1.0 / (k + 1) for k in (1, 3, 5, 7)}
+                    | {1.0 + r / (k + 1) for k in (1, 3, 5) for r in range(-k, 5)}
+                    | {1.0 - r / delta for delta in (1.5, 3.0) for r in range(-4, 1)})
+
+
+def _rel(value, ref):
+    return float(abs(mp.mpf(value) - ref) / abs(ref))
+
+
+def _worst(fn, ref, args):
+    with mp.workdps(40):
+        return max((_rel(fn(x), ref(x)), x) for x in args)
+
+
+def _cached(ref):
+    # mpmath's incomplete gamma takes milliseconds at tiny z; both tests share each value
+    @functools.lru_cache(maxsize=None)
+    def at(x):
+        with mp.workdps(40):
+            return ref(x)
+    return at
+
+
+def _e1_ref(y):
+    return mp.exp(y) * mp.e1(y)
+
+
+def _gamma_ref(s):
+    return lambda z: mp.gammainc(s, z) * mp.exp(z)
+
+
+def _erfcx_ref(x):
+    return mp.erfc(x) * mp.exp(mp.mpf(x) ** 2)
+
+
+def _scipy_e1(y):
+    return math.exp(y) * float(sc.exp1(y))
+
+
+def _scipy_upper_gamma_exp(s, z):
+    # the replaced route: gammaincc*gamma, stepped up to a positive s
+    def upper(s):
+        if s > 0.0:
+            return float(sc.gammaincc(s, z) * sc.gamma(s))
+        return (upper(s + 1.0) - z ** s * math.exp(-z)) / s
+    return upper(s) * math.exp(z)
+
+
+CASES = {
+    "E1": (d._exp_e1, _scipy_e1, _cached(_e1_ref), E1_ARGS),
+    "Gamma(2/3, z)": (lambda z: d._upper_gamma_exp(2.0 / 3.0, z),
+                      lambda z: _scipy_upper_gamma_exp(2.0 / 3.0, z),
+                      _cached(_gamma_ref(2.0 / 3.0)), GAMMA_Z),
+    "Gamma(-1/3, z)": (lambda z: d._upper_gamma_exp(-1.0 / 3.0, z),
+                       lambda z: _scipy_upper_gamma_exp(-1.0 / 3.0, z),
+                       _cached(_gamma_ref(-1.0 / 3.0)), GAMMA_Z),
+    "erfcx": (d._erfcx, lambda x: float(sc.erfcx(x)), _cached(_erfcx_ref), ERFCX_ARGS),
+    "Gamma": (math.gamma, lambda x: float(sc.gamma(x)), _cached(mp.gamma), GAMMA_ARGS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_replacement_matches_mpmath(name):
+    fn, _, ref, args = CASES[name]
+    err, at = _worst(fn, ref, args)
+    assert err <= 1e-14, f"{name}: rel error {err:.3g} at {at!r}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_replacement_is_no_worse_than_twice_scipy(name):
+    fn, old, ref, args = CASES[name]
+    # exp(y)*E1(y) through scipy overflows past y = 709; the old code switched
+    # to an asymptotic series there, which the first test covers
+    args = [x for x in args if name != "E1" or x < 700.0]
+    err, at = _worst(fn, ref, args)
+    old_err, old_at = _worst(old, ref, args)
+    assert err <= 2.0 * old_err, (
+        f"{name}: worst {err:.3g} at {at!r}, scipy's {old_err:.3g} at {old_at!r}")
+
+
+@pytest.mark.parametrize("s", [1.0, 0.5, 0.25, 0.0, -1.0, -2.0, -5.5, -30.0])
+def test_gamma_continued_fraction_depth_holds_over_its_range(s):
+    # on [1, 45] the continued fraction's fixed depth claims -30 <= s <= 1
+    err, at = _worst(lambda z: d._upper_gamma_exp(s, z), _gamma_ref(s),
+                     _logspace(1.0, 45.0, 40))
+    assert err <= 1e-14, f"s={s}: rel error {err:.3g} at z={at!r}"
+
+
+@pytest.mark.parametrize("s", [-1.0, -2.0, -0.5, 0.25])
+def test_upper_gamma_at_small_z_for_other_orders(s):
+    # the upward step lands on Gamma(0, z) = E1(z) for integer s <= 0
+    err, at = _worst(lambda z: d._upper_gamma_exp(s, z), _gamma_ref(s),
+                     _logspace(1e-30, 1.0, 40) + _around(1.0))
+    assert err <= 1e-14, f"s={s}: rel error {err:.3g} at z={at!r}"
+
+
+def test_e1_table_is_what_the_fit_script_writes():
+    spec = importlib.util.spec_from_file_location("fit_e1", ROOT / "scripts" / "fit_e1.py")
+    fit_e1 = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fit_e1)
+    assert fit_e1.render(fit_e1.fit()) == (
+        ROOT / "src" / "revrel" / "_e1_table.py").read_text(encoding="utf-8")
+    assert len(E1_OCTAVES) == 7
