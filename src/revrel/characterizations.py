@@ -250,6 +250,16 @@ def _reflweibull_k(c: CheckSpec, fam: str, p: Mapping[str, float]) -> bool:
     return fam == "reflweibull" and p["k"] == float(c.k)
 
 
+def _at_base(base_family: str, e_family: str) -> Callable[..., bool]:
+    """(family, params, base) -> base_family at a_base = base, or its a = e member at e."""
+    return lambda fam, p, base: (fam == base_family and p["a_base"] == base) or (
+        fam == e_family and base == math.e)
+
+
+_BASE_A_RHR = _at_base("basealinkedrhr", "truncevpower")
+_BASE_A_EIT = _at_base("basealinkedeit", "explinkedeit")  # its a = e member has gamma = 1
+
+
 def _linear_eit(c: CheckSpec, fam: str, p: Mapping[str, float]) -> bool:
     if fam == "linearmit":
         return p["alpha"] * c.beta == p["beta"] * c.alpha
@@ -302,11 +312,11 @@ _ROWS: Dict[TheoremId, _Row] = {
         family_params=lambda c, v: {"nu": v["theta"] / (c.k - 1), "delta": float(c.k - 1)}),
     TheoremId.T2_5: _Row("E[1/(exp(X)*rhr(X))] * E[exp(X)*rhr(X)] >= 1",
                          _PRODUCT, _ANY, "rhr", _EXP_X, ("truncevpower", {"alpha": 1.5, "b": 0.0}),
-                         lambda c, fam, p: fam == "truncevpower"),
+                         lambda c, fam, p: _BASE_A_RHR(fam, p, math.e)),
     TheoremId.T2_6: _Row(
         "E[1/({base:g}^X*rhr(X))] * E[{base:g}^X*rhr(X)] >= 1",
         _PRODUCT, _ANY, "rhr", _BASE_TO_X, ("basealinkedrhr", {"theta": 1.0, "b": 0.0}),
-        lambda c, fam, p: fam == "basealinkedrhr" and p["a_base"] == c.base,
+        lambda c, fam, p: _BASE_A_RHR(fam, p, c.base),
         params={"base": 2.0}, validate=_base_above_one, family_params=_WITH_BASE),
     TheoremId.T2_7: _Row("E[X*rhr(X)] >= 2*mu^2/(b^2 - mu_2)",
                          _MOMENT, _FINITE_B, "rhr", _X_TO_K, _TYPE3EV, _constant_eit,
@@ -346,12 +356,13 @@ _ROWS: Dict[TheoremId, _Row] = {
         sign_guard=_reciprocal_linear_guard),
     TheoremId.T3_6: _Row("E[1/(exp(X)*eit(X))] * E[exp(X)*eit(X)] >= 1",
                          _PRODUCT, _ANY, "eit", _EXP_X, ("explinkedeit", {"theta": 1.0, "b": 0.0}),
-                         lambda c, fam, p: fam == "explinkedeit", suspect=True),
+                         lambda c, fam, p: _BASE_A_EIT(fam, p, math.e) and p.get("gamma", 1) == 1,
+                         suspect=True),
     TheoremId.T3_7: _Row(
         "E[1/({base:g}^X*eit(X))] * E[{base:g}^X*eit(X)] >= 1",
         _PRODUCT, _ANY, "eit", _BASE_TO_X,
         ("basealinkedeit", {"gamma": 1.0, "delta": 1.0, "b": 0.0}),
-        lambda c, fam, p: fam == "basealinkedeit" and p["a_base"] == c.base,
+        lambda c, fam, p: _BASE_A_EIT(fam, p, c.base),
         params={"base": 2.0}, validate=_base_above_one, family_params=_WITH_BASE,
         suspect=True),
     TheoremId.T4_1: _Row("E[eit(X)/rhr(X)] * E[rhr(X)/eit(X)] >= 1",

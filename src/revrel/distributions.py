@@ -7,7 +7,8 @@ closed forms exist. All of them take a float; quantile also takes a numpy
 array of probabilities, and the three families without a closed inverse
 solve every element at once by Newton's method (``_newton_quantile``). A
 quantile stays strictly above a finite lower endpoint. The special functions
-the closures need (exp(y)E1(y), Gamma(s, z), erfcx, Gamma) are pure ``math``.
+the closures need (exp(y)E1(y), Gamma(s, z), erfcx, Gamma and the damped
+series exp(-w) sum w^n/(n!(s+n))) are pure ``math``.
 Numerical code elsewhere in the package treats the
 bundle as opaque: integration only ever touches cdf and log_pdf on the
 open support, so the closures are written to degrade cleanly (underflow to
@@ -20,9 +21,13 @@ and finiterange's eit, 0/0 where t**k underflows.
 Each family is one row of ``_FAMILIES``: its builder and its parameters in
 canonical order with their admissible ranges. ``make_distribution`` checks
 a parameter set against the row; a builder only checks constraints that
-tie parameters together. The catalog covers every family that appears as
-an equality case in the check matrix, plus a uniform model that serves as
-the standard divergence probe.
+tie parameters together. A family that is another's member is built by
+that family's builder: uniform is power at c = 1, truncevpower is
+basealinkedrhr at a_base = e, explinkedeit is basealinkedeit at gamma = 1
+and a_base = e (log e is exactly 1, so the two spellings give the same
+bits). The catalog covers every family that appears as an equality case in
+the check matrix, plus a uniform model that serves as the standard
+divergence probe.
 """
 
 from __future__ import annotations
@@ -109,14 +114,16 @@ def _exp_e1(y: float) -> float:
     return _gamma_cf(0.0, y, 8)
 
 
-def _gamma_cf(s: float, z: float, depth: int) -> float:
+def _gamma_cf(s: float, z: float, depth: Optional[int] = None) -> float:
     """exp(z) * z^-s * Gamma(s, z) for z >= 1 and s <= 1, from depth levels down.
 
     The even part of Legendre's continued fraction (DLMF 8.9.2), evaluated
-    backward. For -30 <= s <= 1 its truncation error falls below 1e-17 at
-    114 levels for z = 1, 45 for z = 3, 10 for z = 45 and 6 for z = 64
-    (measured with mpmath).
+    backward. For -30 <= s <= 1 its truncation error falls below 1e-16 at
+    114 levels for z = 1, 45 for z = 3, 11 for z = 45, 5 for z = 300 and 3
+    from z = 1000 on (measured with mpmath); the default depth follows that.
     """
+    if depth is None:
+        depth = 12 + int(105.0 / z) if z < 45.0 else 3 + int(1000.0 / z)
     b = z + 1.0 - s
     t = 0.0
     for k in map(float, range(depth, 0, -1)):
@@ -124,27 +131,17 @@ def _gamma_cf(s: float, z: float, depth: int) -> float:
     return 1.0 / (b - t)
 
 
-def _upper_gamma_exp(s: float, z: float) -> float:
-    """Gamma(s, z) * exp(z) for z > 0 and s <= 1 (z = 0 too when s > 0).
+def _upper_gamma_scaled(s: float, z: float) -> float:
+    """exp(z) * z^-s * Gamma(s, z) for z > 0 and s <= 1, finite where z^s overflows.
 
-    Below z = 1 the lower-gamma series (DLMF 8.7.3) subtracted from
-    Gamma(s), lifting s <= 0 there by Gamma(s+1, z) = s Gamma(s, z) +
-    z^s exp(-z) onto Gamma(0, z) = E1(z) or a positive s; up to z = 45 the
-    continued fraction; beyond, the standard asymptotic expansion
-    z^(s-1) * (1 + (s-1)/z + ...), whose terms shrink below 1e-16 there.
+    From z = 1 on the continued fraction; below, the lower-gamma series
+    subtracted from Gamma(s), s <= 0 first lifted onto E1 or a positive s by
+    Gamma(s+1, z) = s Gamma(s, z) + z^s exp(-z), in this scaling H(s) = (z H(s+1) - 1)/s.
     """
-    if z < 0.0:
-        raise ValueError("z must be nonnegative")
-    if z == 0.0:
-        if s > 0.0:
-            return math.gamma(s)
-        raise ValueError("Gamma(s, 0) diverges for s <= 0")
-    if z > 45.0:
-        return z ** (s - 1.0) * _gamma_series(s, z)
     if z >= 1.0:
-        return z ** s * _gamma_cf(s, z, 12 + int(105.0 / z))
+        return _gamma_cf(s, z)
     if s > 0.0:
-        # gamma(s, z) z^-s = sum_{n>=0} (-z)^n / (n! (s+n))
+        # z^-s gamma(s, z) = sum_{n>=0} (-z)^n / (n! (s+n)) (DLMF 8.7.3)
         acc = 1.0 / s
         term = 1.0
         for n in range(1, 30):
@@ -153,10 +150,21 @@ def _upper_gamma_exp(s: float, z: float) -> float:
             acc += c
             if abs(c) < 1e-17 * acc:
                 break
-        return (math.gamma(s) - z ** s * acc) * math.exp(z)
+        return (math.gamma(s) * z ** -s - acc) * math.exp(z)
     if s == 0.0:
         return _exp_e1(z)
-    return (_upper_gamma_exp(s + 1.0, z) - z ** s) / s
+    return (z * _upper_gamma_scaled(s + 1.0, z) - 1.0) / s
+
+
+def _upper_gamma_exp(s: float, z: float) -> float:
+    """Gamma(s, z) * exp(z) for z > 0 and s <= 1 (z = 0 too when s > 0)."""
+    if z < 0.0:
+        raise ValueError("z must be nonnegative")
+    if z == 0.0:
+        if s > 0.0:
+            return math.gamma(s)
+        raise ValueError("Gamma(s, 0) diverges for s <= 0")
+    return z ** s * _upper_gamma_scaled(s, z)
 
 
 def _erfcx(x: float) -> float:
@@ -177,33 +185,57 @@ def _erfcx(x: float) -> float:
     return 1.0 / (_SQRT_PI * (x + t))
 
 
-def _gamma_series(s: float, z: float) -> float:
-    """1 + (s-1)/z + (s-1)(s-2)/z^2 + ..., Gamma(s, z)*exp(z)/z^(s-1) for z > 45."""
+# 1 - exp(-x) = sum_{j>=1} a_j x^j: a_j = (-1)^(j+1)/j!, stored from j = 1
+_ONE_MINUS_EXP = tuple((-1.0) ** (j + 1) / math.factorial(j) for j in range(1, 60))
+
+
+def _damped_sum(s: float, w: float) -> float:
+    """exp(-w) * sum_{n>=0} w^n / (n! (s+n)) = int_0^1 u^(s-1) exp(-w(1-u)) du, s > 0, w >= 0.
+
+    At s = 1 the closed form (1 - exp(-w))/w; up to w = 200 the series,
+    which overflows from w = 710 on; beyond, Watson's lemma in x = -log u:
+    sum_k c_k k!/(s+w)^(k+1), with exp(w(x - 1 + e^-x)) = sum_k c_k x^k. Its
+    terms shrink like (w/(s+w)^2)^(k/2) <= 200^(-k/2); about 30 reach 1e-17.
+    """
+    if s == 1.0:
+        return 1.0 if w < 1e-300 else -math.expm1(-w) / w
+    if w <= 200.0:
+        acc = 1.0 / s
+        term = 1.0
+        n = 0
+        while True:
+            n += 1
+            term *= w / n
+            acc += term / (s + n)
+            if term < 1e-18 * acc * (s + n) and n > w:
+                return math.exp(-w) * acc
+    r = 1.0 / (s + w)
+    wr = w * r
+    d = [1.0]
     acc = 1.0
-    term = 1.0
-    for j in range(1, 40):
-        term *= (s - j) / z
-        acc += term
-        if abs(term) < 1e-18 * abs(acc):
+    for k in range(len(_ONE_MINUS_EXP)):
+        # d_k = c_k k! r^k, r = 1/(s+w): d_{k+1} = w r sum_{j=1..k} a_j k!/(k-j)! r^j d_{k-j}
+        f = 1.0
+        tot = 0.0
+        for j in range(1, k + 1):
+            f *= (k - j + 1) * r
+            tot += _ONE_MINUS_EXP[j - 1] * f * d[k - j]
+        d.append(wr * tot)
+        acc += d[-1]
+        if k >= 2 and abs(d[-1]) + abs(d[-2]) < 1e-17 * acc:
             break
-    return acc
+    return r * acc
 
 
 # ---------------------------------------------------------------------------
 # family builders
 
-def _flushed_exp(lv):
-    """exp(lv), flushed to exact 0 where lv falls below about -745."""
-    return 0.0 if lv < -745.0 else math.exp(lv)
-
-
 def _from_log(log_fn):
-    return lambda t: _flushed_exp(log_fn(t))
-
-
-def _density(cdf, log_cdf, rhr):
-    """pdf = F*rhr and log_pdf = log F + log rhr, for a family whose rhr is a sum."""
-    return (lambda t: cdf(t) * rhr(t)), (lambda t: log_cdf(t) + math.log(rhr(t)))
+    """t -> exp(log_fn(t)), flushed to exact 0 where the log falls below about -745."""
+    def from_log(t, exp=math.exp):
+        lv = log_fn(t)
+        return 0.0 if lv < -745.0 else exp(lv)
+    return from_log
 
 
 _NEWTON_CAP = 100
@@ -343,20 +375,23 @@ def _build_invweibull(spec, nu, delta):
     def log_rhr(t):
         return log_delta + _z_log(t) - math.log(t)  # its exp underflows at large t
 
+    # nu^(1/delta) z^s = t, so eit(t) = t/delta * exp(z) z^-s Gamma(s, z)
     def eit(t):
         zl = _z_log(t)
         if zl < -640.0:
             return t  # z underflows; by then the inactivity time is t to 1e-280
-        z = math.exp(zl)
-        return nu ** (1.0 / delta) / delta * _upper_gamma_exp(s, z)
+        if zl > 700.0:
+            return math.exp(log_eit(t))  # z overflows, and eit underflows with it
+        return t * (_upper_gamma_scaled(s, math.exp(zl)) / delta)
 
     def log_eit(t):
-        # eit's z**(s-1) underflows at small t; its log does not
+        # eit underflows at small t; its log does not
         zl = _z_log(t)
-        z = math.exp(min(zl, 700.0))
-        if zl < -640.0 or z <= 45.0:
+        if zl <= 0.0:
             return math.log(eit(t))
-        return log_nu / delta - log_delta + (s - 1.0) * zl + math.log(_gamma_series(s, z))
+        # past z = e^700 the scaled Gamma(s, z) is 1/z to within 1e-300
+        lh = -zl if zl > 700.0 else math.log(_gamma_cf(s, math.exp(zl)))
+        return math.log(t) - log_delta + lh
 
     def moments(r):
         if r >= delta:
@@ -374,73 +409,54 @@ def _build_invweibull(spec, nu, delta):
 
 
 def _build_truncevpower(spec, alpha, b):
-    emb = math.exp(-b)
-
-    def log_cdf(t):
-        u = -t
-        if u > 700.0:
-            return -math.inf
-        return -alpha * (math.exp(u) - emb)
-
-    def log_pdf(t):
-        u = -t
-        if u > 700.0:
-            return -math.inf
-        return math.log(alpha) + u - alpha * (math.exp(u) - emb)
-
-    def quantile(p):
-        return -np.log(emb - np.log(p) / alpha)
-
-    def rhr(t):
-        u = -t
-        if u > 700.0:
-            return math.inf
-        return alpha * math.exp(u)
-
-    def eit(t):
-        u = -t
-        if u > 690.0:
-            return math.exp(t) / alpha  # asymptote of exp(y)E1(y) ~ 1/y
-        return _exp_e1(alpha * math.exp(u))
-
-    return DistributionModel(
-        spec=spec,
-        support=SupportInterval(-math.inf, b),
-        cdf=_from_log(log_cdf), pdf=_from_log(log_pdf), quantile=quantile, log_cdf=log_cdf,
-        log_pdf=log_pdf, rhr=rhr, eit=eit,
-    )
+    # basealinkedrhr at a_base = e: log(e) is exactly 1, so every product with it is exact
+    return _build_basealinkedrhr(spec, alpha, math.e, b)
 
 
 def _build_basealinkedrhr(spec, theta, a_base, b):
+    """log F(t) = -theta*(a^-t - a^-b); rhr(t) = theta*ln(a)*a^-t."""
     ln_a = math.log(a_base)
-    yb = theta * math.exp(-b * ln_a)
+    neg_ln_a = -ln_a  # u = t*neg_ln_a is exactly -t*ln_a, and -t at a_base = e
+    log_theta = math.log(theta)
+    theta_ln_a = theta * ln_a
+    log_theta_ln_a = log_theta + math.log(ln_a)
+    amb = math.exp(b * neg_ln_a)
+    theta_amb = theta * amb
+    # past u = 700, where exp(u) nears overflow, theta*a^-t = exp(u + log_theta) comes from
+    # logs; it passes e^700 (F = 0 to the last bit) at u = cut, beyond 700 only if theta < 1
+    cut = 700.0 - log_theta
 
-    def _y_log(t):
-        return math.log(theta) - t * ln_a
+    def log_cdf(t, exp=math.exp):
+        u = t * neg_ln_a
+        if u > 700.0:
+            return -math.inf if u > cut else theta_amb - exp(u + log_theta)
+        return -theta * (exp(u) - amb)
 
-    def log_cdf(t):
-        yl = _y_log(t)
-        if yl > 700.0:
-            return -math.inf
-        return -(math.exp(yl) - yb)
-
-    def log_pdf(t):
-        yl = _y_log(t)
-        if yl > 700.0:
-            return -math.inf
-        return math.log(theta * ln_a) - t * ln_a - (math.exp(yl) - yb)
+    def log_pdf(t, exp=math.exp):
+        u = t * neg_ln_a
+        if u > 700.0:
+            return -math.inf if u > cut else log_theta_ln_a + u - (exp(u + log_theta) - theta_amb)
+        return log_theta_ln_a + u - theta * (exp(u) - amb)
 
     def quantile(p):
-        return -np.log(yb / theta - np.log(p) / theta) / ln_a
+        if theta < 1e-300:  # -log(p)/theta overflows; the division goes inside the log
+            return (log_theta - np.log(theta_amb - np.log(p))) / ln_a
+        return -np.log(amb - np.log(p) / theta) / ln_a
 
-    def rhr(t):
-        return theta * ln_a * math.exp(-t * ln_a)
+    def rhr(t, exp=math.exp):
+        u = t * neg_ln_a
+        if u > 700.0:
+            return math.inf if u > cut else ln_a * exp(u + log_theta)
+        return theta_ln_a * exp(u)
 
-    def eit(t):
-        yl = _y_log(t)
-        if yl > 690.0:
-            return math.exp(t * ln_a) / (theta * ln_a)
-        return _exp_e1(math.exp(yl)) / ln_a
+    def eit(t, exp=math.exp):
+        u = t * neg_ln_a
+        if u > 690.0:
+            yl = u + log_theta  # theta*a^-t = exp(yl)
+            if yl > 690.0:
+                return exp(-yl) / ln_a  # asymptote of exp(y)E1(y) ~ 1/y
+            return _exp_e1(exp(yl)) / ln_a
+        return _exp_e1(theta * exp(u)) / ln_a
 
     return DistributionModel(
         spec=spec,
@@ -547,11 +563,11 @@ def _build_finiterange(spec, theta, b, k):
         head = lw if lw < -700.0 else math.log(-math.expm1(-math.exp(min(lw, 700.0))))
         return head - log_theta - math.log(kp1) - k * math.log(t)
 
-    pdf, log_pdf = _density(cdf, log_cdf, rhr)
     return DistributionModel(
         spec=spec,
         support=SupportInterval(0.0, b),
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf, log_pdf=log_pdf,
+        cdf=cdf, pdf=lambda t: cdf(t) * rhr(t), quantile=quantile, log_cdf=log_cdf,
+        log_pdf=lambda t, log=math.log: log_cdf(t) + log(rhr(t)),
         rhr=rhr, eit=eit, log_eit=log_eit,
     )
 
@@ -626,71 +642,41 @@ def _build_linearmit(spec, xi, alpha, beta, b):
 
 
 def _build_explinkedeit(spec, theta, b):
-    eb = math.exp(b)
-
-    def log_cdf(t):
-        return (t - b) + theta * (math.exp(t) - eb)
-
-    def rhr(t):
-        return 1.0 + theta * math.exp(t)
-
-    def quantile(p):
-        return _newton_quantile(p, b, lambda t: (t - b) + theta * (np.exp(t) - eb),
-                                lambda t: 1.0 + theta * np.exp(t), 1e-13, 4e-15)
-
-    def eit(t):
-        w = theta * math.exp(t)
-        if w < 1e-300:
-            return 1.0
-        return -math.expm1(-w) / w
-
-    cdf = _from_log(log_cdf)
-    pdf, log_pdf = _density(cdf, log_cdf, rhr)
-    return DistributionModel(
-        spec=spec,
-        support=SupportInterval(-math.inf, b),
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf, log_pdf=log_pdf,
-        rhr=rhr, eit=eit,
-    )
+    # basealinkedeit at gamma = 1, a_base = e, where its eit has the closed form
+    return _build_basealinkedeit(spec, 1.0, theta, math.e, b)
 
 
 def _build_basealinkedeit(spec, gamma, delta, a_base, b):
+    """log F(t) = gamma*(t - b) + delta*(a^t - a^b); rhr(t) = gamma + delta*ln(a)*a^t."""
     ln_a = math.log(a_base)
+    delta_ln_a = delta * ln_a
     ab = math.exp(b * ln_a)
     s = gamma / ln_a
 
-    def log_cdf(t):
-        return gamma * (t - b) + delta * (math.exp(t * ln_a) - ab)
+    def log_cdf(t, exp=math.exp):
+        return gamma * (t - b) + delta * (exp(t * ln_a) - ab)
 
-    def rhr(t):
-        return gamma + delta * ln_a * math.exp(t * ln_a)
+    def rhr(t, exp=math.exp):
+        return gamma + delta_ln_a * exp(t * ln_a)
+
+    def log_pdf(t, exp=math.exp, log=math.log):
+        # log F + log rhr, sharing one exp
+        e = exp(t * ln_a)
+        return gamma * (t - b) + delta * (e - ab) + log(gamma + delta_ln_a * e)
 
     def quantile(p):
-        return _newton_quantile(
-            p, b, lambda t: gamma * (t - b) + delta * (np.exp(t * ln_a) - ab),
-            lambda t: gamma + delta * ln_a * np.exp(t * ln_a), 1e-13, 4e-15)
+        return _newton_quantile(p, b, lambda t: log_cdf(t, np.exp), lambda t: rhr(t, np.exp),
+                                1e-13, 4e-15)
 
     def eit(t):
-        # (exp(-w)/ln a) * sum_n w^n / (n! (s+n)) with w = delta*a^t
-        w = delta * math.exp(t * ln_a)
-        acc = 1.0 / s
-        term = 1.0
-        n = 0
-        while n < 700:
-            n += 1
-            term *= w / n
-            contrib = term / (s + n)
-            acc += contrib
-            if term < 1e-18 * acc * (s + n) and n > w:
-                break
-        return math.exp(-w) * acc / ln_a
+        return _damped_sum(s, delta * math.exp(t * ln_a)) / ln_a
 
     cdf = _from_log(log_cdf)
-    pdf, log_pdf = _density(cdf, log_cdf, rhr)
     return DistributionModel(
         spec=spec,
         support=SupportInterval(-math.inf, b),
-        cdf=cdf, pdf=pdf, quantile=quantile, log_cdf=log_cdf, log_pdf=log_pdf,
+        cdf=cdf, pdf=lambda t: cdf(t) * rhr(t), quantile=quantile, log_cdf=log_cdf,
+        log_pdf=log_pdf,
         rhr=rhr, eit=eit,
     )
 

@@ -93,6 +93,8 @@ _GROWTH_FACTOR = 1.5
 _GROWTH_RUNS = 5
 _MIN_LEVEL = 3
 _MAX_DEPTH = 50
+# Evaluations per integral. Only a non-zero node ends a sweep on it, so zero-valued
+# nodes can overrun it by at most one level-3 sweep (97 nodes) per pending split.
 _EVAL_BUDGET = 400_000
 _PROBE_NODES = 8
 

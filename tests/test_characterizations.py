@@ -483,3 +483,33 @@ def test_constant_rate_model_gives_one_report_under_both_spellings():
         assert (a.pop("family"), b.pop("family")) == ("type3ev", "linearmit")
         del a["params"], b["params"]
         assert a == b
+
+
+@pytest.mark.parametrize("exp_text, base_text", [
+    ("truncevpower:alpha=1.7,b=0.3", f"basealinkedrhr:theta=1.7,a_base={math.e!r},b=0.3"),
+    ("explinkedeit:theta=1.7,b=0.3",
+     f"basealinkedeit:gamma=1,delta=1.7,a_base={math.e!r},b=0.3"),
+])
+def test_exp_family_gives_one_report_under_its_base_e_spelling(exp_text, base_text):
+    # the exp(x)-weighted families are the base-a families at a = e; the
+    # equality rules of T2_5/T2_6 and T3_6/T3_7 know both spellings
+    checks = theorem_catalog() + (make_check(TheoremId.T2_6, base=math.e),
+                                  make_check(TheoremId.T3_7, base=math.e))
+    exp_model, base_model = model_from_text(exp_text), model_from_text(base_text)
+    exp_records = report_records([run_check(c, exp_model) for c in checks])
+    base_records = report_records([run_check(c, base_model) for c in checks])
+    for a, b in zip(exp_records, base_records):
+        assert (a.pop("family"), b.pop("family")) == (exp_model.spec.family,
+                                                      base_model.spec.family)
+        del a["params"], b["params"]
+        assert a == b
+    # both spellings are the equality family of the exp(x) check and of the
+    # base-a check at base e
+    by_id = {r["theorem"]: r for r in exp_records[:20]}
+    t2_6_at_e, t3_7_at_e = exp_records[20:]
+    if exp_model.spec.family == "truncevpower":
+        for r in (by_id["T2_5"], t2_6_at_e):
+            assert r["expected_equality"] and r["verdict"] == "Equality"
+    else:
+        for r in (by_id["T3_6"], t3_7_at_e):  # suspect: claimed, never asserted
+            assert r["claimed_equality"] and not r["expected_equality"]

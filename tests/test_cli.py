@@ -169,6 +169,14 @@ def test_table_invweibull_with_integer_gamma_order():
     assert len(eits) == 8 and all(v > 0.0 and math.isfinite(v) for v in eits)
 
 
+def test_table_basealinkedeit_past_the_series_overflow():
+    # its eit column was NaN in every row, with exit 0
+    code, out, _ = run_cli("table", "--family", "basealinkedeit:gamma=1,delta=800,a_base=2,b=0")
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    assert len(rows) == 16 and all(math.isfinite(v) for row in rows for v in row)
+
+
 def test_table_json_format():
     code, out, _ = run_cli("table", "--family", "uniform:b=1", "--grid", "8",
                            "--format", "json")

@@ -431,6 +431,9 @@ def test_invweibull_near_origin_underflows():
     model = model_from_text("invweibull:nu=1,delta=3")
     assert cdf_at(model, 1e-3) == 0.0
     assert pdf_at(model, 1e-3) == 0.0
+    # z = t^-3 overflows below t = 1e-236; eit = t/(3z) underflows with it
+    assert model.eit(1e-240) == 0.0
+    assert model.log_eit(1e-240) == pytest.approx(4 * math.log(1e-240) - math.log(3.0), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -567,3 +570,50 @@ def test_invweibull_eit_matches_a_direct_mpmath_integral(delta, t):
         cdf = lambda x: mpmath.exp(-nu * mpmath.mpf(x) ** -delta)
         want = mpmath.quad(cdf, [0, t / 4, t]) / cdf(t)
     assert model.eit(t) == pytest.approx(float(want), rel=1e-13)
+
+
+@pytest.mark.parametrize("text, t", [
+    # s = -1/delta = -30 at z = 46: an asymptotic series used past z = 45 gave -4.2e-50
+    ("invweibull:nu=1,delta=0.0333333333333333", 1.3099811594747738e-50),
+    # s = -2 at z = 1e-160 and 1e-250: z**s overflowed, eit is t to 4e-51
+    ("invweibull:nu=1e-100,delta=0.5", 1e120),
+    ("invweibull:nu=1e-100,delta=0.5", 1e300),
+])
+def test_invweibull_eit_where_gamma_of_its_order_leaves_float_range(text, t):
+    model = model_from_text(text)
+    nu, delta = model.spec.params["nu"], model.spec.params["delta"]
+    with mpmath.workdps(60):
+        # eit(t) = t/delta * exp(z) z^-s Gamma(s, z), z = nu t^-delta, s = -1/delta
+        z = mpmath.mpf(nu) * mpmath.mpf(t) ** -mpmath.mpf(delta)
+        s = -1 / mpmath.mpf(delta)
+        want = t / mpmath.mpf(delta) * mpmath.exp(z) * z ** -s * mpmath.gammainc(s, z)
+        log_want = float(mpmath.log(want))
+    assert model.eit(t) == pytest.approx(float(want), rel=1e-12)
+    assert model.log_eit(t) == pytest.approx(log_want, rel=1e-12)
+
+
+def test_basealinkedeit_eit_past_the_series_overflow():
+    # w = delta*a^t runs up to 800 here; the power series overflowed to NaN from w = 710
+    model = model_from_text("basealinkedeit:gamma=1,delta=800,a_base=2,b=0")
+    t = -0.001
+    with mpmath.workdps(30):
+        cdf = lambda x: mpmath.exp(x + 800 * (mpmath.mpf(2) ** x - 1))
+        want = mpmath.quad(cdf, [-mpmath.inf, t - 0.1, t - 0.01, t]) / cdf(t)
+    assert model.eit(t) == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [1e-300, 1e-320])
+def test_basealinkedrhr_keeps_its_mass_at_tiny_theta(theta):
+    # the median sits where theta*2^-t = ln 2, at u = -t*ln 2 = 690.4 and 736.4,
+    # past the u = 690 and u = 700 switch points of the closures
+    model = model_from_text(f"basealinkedrhr:theta={theta},a_base=2,b=0")
+    t = float(model.quantile(0.5))
+    assert model.cdf(t) == pytest.approx(0.5, rel=1e-12)
+    with mpmath.workdps(30):
+        y = mpmath.mpf(theta) * mpmath.mpf(2) ** -mpmath.mpf(t)
+        ln_a = mpmath.log(2)
+        want_eit = mpmath.exp(y) * mpmath.e1(y) / ln_a
+        want_log_pdf = mpmath.log(y * ln_a) - (y - mpmath.mpf(theta))
+    assert model.eit(t) == pytest.approx(float(want_eit), rel=1e-12)
+    assert model.rhr(t) == pytest.approx(float(y * ln_a), rel=1e-12)
+    assert model.log_pdf(t) == pytest.approx(float(want_log_pdf), rel=1e-12)

@@ -4,7 +4,9 @@ exp(y)E1(y), Gamma(s, z)exp(z), erfcx and Gamma are computed without scipy
 at run time. Each is checked at rel 1e-14 over the arguments the check matrix
 passes to it and the edges of its branches, and its worst error there is held
 to at most twice that of the scipy call it replaced (scipy stays a test-time
-reference only).
+reference only). The scaled Gamma(s, z)exp(z)z^-s behind invweibull's
+inactivity time and the damped series behind basealinkedeit's are checked
+against mpmath where the unscaled forms leave float range.
 """
 
 import functools
@@ -39,7 +41,7 @@ def _around(*points):
 # x in [4e-276, 7e151] to erfcx. The edges: the series/table switch at
 # y = 1/2, the octaves, the table/continued-fraction switch at 64, the old
 # asymptotic switch at 500; the series/continued-fraction switch at z = 1
-# and the asymptotic one at 45; erfcx's switch at 26.
+# and the old asymptotic one at 45; erfcx's switch at 26.
 E1_ARGS = (_logspace(1.0, 470.0, 240) + _logspace(1e-300, 1.0, 40)
            + _logspace(470.0, 1e300, 20)
            + _around(0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 500.0))
@@ -128,12 +130,48 @@ def test_replacement_is_no_worse_than_twice_scipy(name):
         f"{name}: worst {err:.3g} at {at!r}, scipy's {old_err:.3g} at {old_at!r}")
 
 
+def _scaled_gamma_ref(s):
+    def ref(z):
+        with mp.workdps(60):  # at 40 digits mpmath itself is off by 1e-12 at s = -30, z = 173
+            return mp.gammainc(s, z) * mp.exp(z) * mp.mpf(z) ** -s
+    return ref
+
+
 @pytest.mark.parametrize("s", [1.0, 0.5, 0.25, 0.0, -1.0, -2.0, -5.5, -30.0])
 def test_gamma_continued_fraction_depth_holds_over_its_range(s):
-    # on [1, 45] the continued fraction's fixed depth claims -30 <= s <= 1
+    # the default depth claims -30 <= s <= 1 for every z >= 1, across its switch at 45
     err, at = _worst(lambda z: d._upper_gamma_exp(s, z), _gamma_ref(s),
                      _logspace(1.0, 45.0, 40))
     assert err <= 1e-14, f"s={s}: rel error {err:.3g} at z={at!r}"
+    # scaled by z^-s, so that the value does not underflow out to z = 1e12
+    err, at = _worst(lambda z: d._gamma_cf(s, z), _scaled_gamma_ref(s),
+                     _logspace(1.0, 1e12, 60) + _around(45.0))
+    assert err <= 1e-14, f"s={s}: rel error {err:.3g} at z={at!r}"
+
+
+@pytest.mark.parametrize("s", [-30.0, -2.0, -1.0, -0.5, 0.25])
+def test_scaled_upper_gamma_is_finite_where_the_unscaled_overflows(s):
+    # Gamma(s, z)exp(z) ~ z^s/(-s) leaves float range at tiny z for s < 0;
+    # invweibull's inactivity time is t/delta times the scaled form
+    err, at = _worst(lambda z: d._upper_gamma_scaled(s, z), _scaled_gamma_ref(s),
+                     _logspace(1e-300, 1.0, 10) + _around(1.0))
+    assert err <= 1e-14, f"s={s}: rel error {err:.3g} at z={at!r}"
+
+
+# basealinkedeit's inactivity time is damped_sum(s, w)/ln(a) with s = gamma/ln(a)
+# and w = delta*a^t; the catalog has s = 1/ln(2) and w <= 1. The edges: the
+# closed form at s = 1, the series/expansion switch at w = 200, and w = 710,
+# where the series overflowed.
+DAMPED_S = (0.05, 0.3, 1.0, 1.0 / math.log(2.0), 2.5, 13.0, 60.0)
+DAMPED_W = (1e-300, 1e-3, 1.0, 50.0) + tuple(_around(200.0)) + (709.0, 711.0, 5e3, 1e5)
+
+
+@pytest.mark.parametrize("s", DAMPED_S)
+def test_damped_sum_matches_mpmath(s):
+    # exp(-w) sum_n w^n/(n! (s+n)) = M(1, s+1, -w)/s
+    err, at = _worst(lambda w: d._damped_sum(s, w),
+                     lambda w: mp.hyp1f1(1, mp.mpf(s) + 1, -mp.mpf(w)) / s, DAMPED_W)
+    assert err <= 1e-13, f"s={s}: rel error {err:.3g} at w={at!r}"
 
 
 @pytest.mark.parametrize("s", [-1.0, -2.0, -0.5, 0.25])
