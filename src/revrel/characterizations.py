@@ -34,7 +34,7 @@ keeps the impossible case visible.  It is reachable: the odd-power
 x-weights of T2_7, T4_2 and T4_4 change sign on supports that contain 0,
 and only T3_4 and T3_5 guard against that.  On
 ``truncevpower:alpha=1.708,b=0.513`` they give ratios -4.24, -21.96 and
--0.46 (ROADMAP item 2).
+-0.46 (see the domain-guard item in ROADMAP.md).
 """
 
 from __future__ import annotations

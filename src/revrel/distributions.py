@@ -22,12 +22,12 @@ Each family is one row of ``_FAMILIES``: its builder and its parameters in
 canonical order with their admissible ranges. ``make_distribution`` checks
 a parameter set against the row; a builder only checks constraints that
 tie parameters together. A family that is another's member is built by
-that family's builder: uniform is power at c = 1, truncevpower is
-basealinkedrhr at a_base = e, explinkedeit is basealinkedeit at gamma = 1
-and a_base = e (log e is exactly 1, so the two spellings give the same
-bits). The catalog covers every family that appears as an equality case in
-the check matrix, plus a uniform model that serves as the standard
-divergence probe.
+that family's builder: power is linearmit at alpha = 0 and beta = 1 with
+exponent c, uniform is power at c = 1, truncevpower is basealinkedrhr at
+a_base = e, explinkedeit is basealinkedeit at gamma = 1 and a_base = e
+(log e is exactly 1, so the two spellings give the same bits). The catalog
+covers every family that appears as an equality case in the check matrix,
+plus a uniform model that serves as the standard divergence probe.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class DistributionModel:
     rhr: Callable[[float], float]
     eit: Callable[[float], float]
     rai: Optional[Callable[[float], float]] = None
-    moments: Optional[Callable[[int], float]] = None
+    moments: Optional[Callable[[int], Optional[float]]] = None  # None: no closed form at r
     # log-native twins, where the linear closure leaves float range inside the support
     log_rhr: Optional[Callable[[float], float]] = None
     log_eit: Optional[Callable[[float], float]] = None
@@ -288,6 +288,8 @@ def _constant_rate(spec, gamma, b):
 
     def moments(r):
         # X = b - Y/gamma with Y standard exponential
+        if r < 0:
+            return None  # no closed form; raw_moment integrates
         acc = 0.0
         for j in range(r + 1):
             acc += math.comb(r, j) * b ** (r - j) * (-1.0 / gamma) ** j * math.factorial(j)
@@ -307,40 +309,9 @@ def _constant_rate(spec, gamma, b):
 
 
 def _build_power(spec, b, c):
-    log_b = math.log(b)
-    log_c = math.log(c)
-
-    def log_cdf(t):
-        return c * (math.log(t) - log_b)
-
-    def cdf(t):
-        return math.exp(log_cdf(t))
-
-    def log_pdf(t):
-        return log_c + (c - 1.0) * math.log(t) - c * log_b
-
-    def quantile(p):
-        return b * p ** (1.0 / c)
-
-    def rai(t):
-        if t >= b:
-            return 1.0
-        return (b - t) / (t * math.log(b / t))
-
-    def moments(r):
-        if r <= -c:
-            raise DivergentMoment(f"power moment of order {r} needs r > -c")
-        return c * b ** r / (c + r)
-
-    return DistributionModel(
-        spec=spec,
-        support=SupportInterval(0.0, b),
-        cdf=cdf, pdf=_from_log(log_pdf), quantile=quantile, log_cdf=log_cdf, log_pdf=log_pdf,
-        rhr=lambda t: c / t,
-        eit=lambda t: t / (c + 1.0),
-        rai=rai,
-        moments=moments,
-    )
+    # linearmit at alpha = 0, beta = 1, where v = alpha + beta*t is exactly t, with
+    # exponent c itself: q = (1 - xi)/xi from xi = 1/(c + 1) can miss c by an ulp
+    return _linearmit_closures(spec, 1.0 / (c + 1.0), 0.0, 1.0, b, c)
 
 
 def _build_uniform(spec, b):
@@ -573,12 +544,13 @@ def _build_finiterange(spec, theta, b, k):
 
 
 def _build_linearmit(spec, xi, alpha, beta, b):
-    """Reconstruction of the family whose inactivity time is linear, xi*(alpha+beta*t).
+    """The family whose inactivity time is linear, xi*(alpha+beta*t), F = (v/vb)^q.
 
     Three shapes fall out of the slope sign: beta = 0 collapses to the
-    constant-rate model, beta > 0 gives a bounded power-like support
-    (-alpha/beta, b], and beta < 0 gives an unbounded left tail whose
-    moments only exist up to order -q.
+    constant-rate model, beta > 0 gives a bounded support (-alpha/beta, b]
+    whose alpha = 0 member is the power law (t/b)^q, and beta < 0 gives an
+    unbounded left tail whose moments only exist up to order -q. Here
+    v = alpha + beta*t, vb = alpha + beta*b and q = (1 - xi*beta)/(xi*beta).
     """
     if beta == 0.0:
         if alpha <= 0.0:
@@ -588,18 +560,22 @@ def _build_linearmit(spec, xi, alpha, beta, b):
         log_xa = math.log(xi * alpha)
         return replace(_constant_rate(spec, 1.0 / (xi * alpha), b), eit=lambda t: xi * alpha,
                        log_eit=lambda t: log_xa)
-
-    vb = alpha + beta * b
-    if vb <= 0.0:
+    if not alpha + beta * b > 0.0:
         raise ParameterError("linearmit needs alpha + beta*b > 0")
-    q = (1.0 - xi * beta) / (xi * beta)
-    if beta > 0.0:
-        if not 0.0 < xi * beta < 1.0:
-            raise ParameterError("linearmit with beta > 0 needs 0 < xi*beta < 1")
-        support = SupportInterval(-alpha / beta, b)
-    else:
-        support = SupportInterval(-math.inf, b)  # q < 0 here
+    if beta > 0.0 and not 0.0 < xi * beta < 1.0:
+        raise ParameterError("linearmit with beta > 0 needs 0 < xi*beta < 1")
+    return _linearmit_closures(spec, xi, alpha, beta, b, (1.0 - xi * beta) / (xi * beta))
+
+
+def _linearmit_closures(spec, xi, alpha, beta, b, q):
+    """linearmit's closures for beta != 0, with the exponent q given."""
+    vb = alpha + beta * b
     log_vb = math.log(vb)
+    qb = q * beta
+    log_qb = math.log(qb)
+    q_log_vb = q * log_vb
+    # 0.0 - alpha, not -alpha: the power law's lower end is 0.0, not -0.0
+    lower = (0.0 - alpha) / beta if beta > 0.0 else -math.inf  # q < 0 when beta < 0
 
     def log_cdf(t):
         return q * (math.log(alpha + beta * t) - log_vb)
@@ -608,8 +584,7 @@ def _build_linearmit(spec, xi, alpha, beta, b):
         return math.exp(log_cdf(t))
 
     def log_pdf(t):
-        v = alpha + beta * t
-        return math.log(q * beta / v) + q * (math.log(v) - log_vb)
+        return log_qb + (q - 1.0) * math.log(alpha + beta * t) - q_log_vb
 
     def quantile(p):
         return (vb * p ** (1.0 / q) - alpha) / beta
@@ -618,13 +593,23 @@ def _build_linearmit(spec, xi, alpha, beta, b):
         if t >= b:
             return 1.0
         v = alpha + beta * t
-        # log(v/vb) as log1p of v/vb - 1, which keeps its digits as t -> b
-        return (t - b) * beta / (v * math.log1p(beta * (t - b) / vb))
+        d = beta * (t - b) / vb
+        # log(v/vb): log1p keeps its digits as t -> b; toward the lower end t - b
+        # rounds until d reaches -1, where log1p is -inf and the two logs are not
+        lv = math.log1p(d) if d > -0.5 else math.log(v) - log_vb
+        return (t - b) * beta / (v * lv)
 
     def moments(r):
         if beta < 0.0 and r >= -q:
             raise DivergentMoment(
                 f"linearmit moment of order {r} diverges for this beta < 0 shape")
+        if alpha == 0.0:
+            # X = V/beta, where F = (V/vb)^q is uniform: E[V^r] = q vb^r/(q + r)
+            if beta > 0.0 and r <= -q:
+                raise DivergentMoment(f"power moment of order {r} needs r > -q = {-q}")
+            return q * vb ** r / ((q + r) * beta ** r)
+        if r < 0:
+            return None  # no closed form; raw_moment integrates
         acc = 0.0
         for j in range(r + 1):
             acc += (math.comb(r, j) * (-alpha) ** (r - j) * vb ** j * q / (q + j))
@@ -632,9 +617,9 @@ def _build_linearmit(spec, xi, alpha, beta, b):
 
     return DistributionModel(
         spec=spec,
-        support=support,
+        support=SupportInterval(lower, b),
         cdf=cdf, pdf=_from_log(log_pdf), quantile=quantile, log_cdf=log_cdf, log_pdf=log_pdf,
-        rhr=lambda t: q * beta / (alpha + beta * t),
+        rhr=lambda t: qb / (alpha + beta * t),
         eit=lambda t: xi * (alpha + beta * t),
         rai=rai,
         moments=moments,

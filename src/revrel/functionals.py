@@ -198,9 +198,10 @@ def cdf_from_rhr(model: DistributionModel, t: float,
 
 
 def raw_moment(model: DistributionModel, r: int) -> float:
-    """E[X^r], preferring the family's closed form when one is attached."""
-    if model.moments is not None:
-        return float(model.moments(r))
+    """E[X^r], preferring the family's closed form where it has one for this r."""
+    closed = None if model.moments is None else model.moments(r)
+    if closed is not None:
+        return float(closed)
     res = expectation(ExpectationSpec(model, lambda x: x ** r))
     if res.status is not QuadStatus.Converged:
         raise DivergentMoment(

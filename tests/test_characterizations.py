@@ -323,6 +323,22 @@ def _linearmit_rai_ratios():
         return float(a * c), float(ax * cx / (mu * mu))
 
 
+# T4_3 on power(b, c) is c^2 psi_1(c) log(1 + 1/c) (psi_1 the trigamma function),
+# and T4_4 at k = 1 is the same expression at c + 1; mpmath values by c
+_POWER_T4_3 = {1: 1.1401814106428527, 2: 1.045993044549017, 3: 1.0225390574943718,
+               4: 1.0133321966028108}
+
+
+@pytest.mark.parametrize("text, c", [
+    ("uniform:b=1", 1), ("power:b=1,c=2", 2), ("linearmit:xi=0.25,alpha=0,beta=1,b=1.5", 3)])
+def test_power_law_rai_checks_match_their_closed_form(text, c):
+    model = model_from_text(text)
+    for tid, want in ((TheoremId.T4_3, _POWER_T4_3[c]), (TheoremId.T4_4, _POWER_T4_3[c + 1])):
+        r = run_check(make_check(tid), model)
+        assert r.verdict is Verdict.StrictInequality, (tid, r.note)
+        assert r.ratio == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_linearmit_rai_checks_match_an_mpmath_oracle():
     model = model_from_text("linearmit:xi=0.8,alpha=1,beta=0.5,b=0")
     for tid, want in zip((TheoremId.T4_3, TheoremId.T4_4), _linearmit_rai_ratios()):
@@ -489,10 +505,14 @@ def test_constant_rate_model_gives_one_report_under_both_spellings():
     ("truncevpower:alpha=1.7,b=0.3", f"basealinkedrhr:theta=1.7,a_base={math.e!r},b=0.3"),
     ("explinkedeit:theta=1.7,b=0.3",
      f"basealinkedeit:gamma=1,delta=1.7,a_base={math.e!r},b=0.3"),
+    # the power law is linearmit at alpha = 0, beta = 1; these xi give q = c exactly
+    ("power:b=1.5,c=3", "linearmit:xi=0.25,alpha=0,beta=1,b=1.5"),
+    ("uniform:b=1", "linearmit:xi=0.5,alpha=0,beta=1,b=1"),
 ])
 def test_exp_family_gives_one_report_under_its_base_e_spelling(exp_text, base_text):
     # the exp(x)-weighted families are the base-a families at a = e; the
-    # equality rules of T2_5/T2_6 and T3_6/T3_7 know both spellings
+    # equality rules of T2_5/T2_6 and T3_6/T3_7 know both spellings, and
+    # those of T2_2 and T3_4 know the power law's two
     checks = theorem_catalog() + (make_check(TheoremId.T2_6, base=math.e),
                                   make_check(TheoremId.T3_7, base=math.e))
     exp_model, base_model = model_from_text(exp_text), model_from_text(base_text)
@@ -507,7 +527,10 @@ def test_exp_family_gives_one_report_under_its_base_e_spelling(exp_text, base_te
     # base-a check at base e
     by_id = {r["theorem"]: r for r in exp_records[:20]}
     t2_6_at_e, t3_7_at_e = exp_records[20:]
-    if exp_model.spec.family == "truncevpower":
+    if base_model.spec.family == "linearmit":
+        for r in (by_id["T2_2"], by_id["T3_4"]):
+            assert r["expected_equality"] and r["verdict"] == "Equality"
+    elif exp_model.spec.family == "truncevpower":
         for r in (by_id["T2_5"], t2_6_at_e):
             assert r["expected_equality"] and r["verdict"] == "Equality"
     else:

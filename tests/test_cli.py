@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -10,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import revrel
 from revrel.cli import main
 from revrel.distributions import model_from_text
 from revrel.empirics import sample_inverse_cdf
@@ -243,10 +245,13 @@ def test_identify_missing_file(tmp_path):
 # module entry point
 
 def test_module_entry_point_smoke():
+    # the child imports revrel from the tree this test imported it from
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revrel.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "revrel.cli", "verify", "--theorem", "T2_1",
          "--family", "power:b=1,c=2"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     (row,) = json.loads(proc.stdout)
     assert row["verdict"] == "StrictInequality"

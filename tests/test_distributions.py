@@ -158,6 +158,39 @@ def test_invweibull_moments_match_gamma_values():
         raw_moment(m, 3)
 
 
+@pytest.mark.parametrize("text, want", [
+    ("type3ev:gamma=2,b=-1", -0.722657233776445),  # -2 e^2 E1(2)
+    ("type3ev:gamma=2,b=0", None),
+    ("linearmit:xi=0.8,alpha=-0.5,beta=0.5,b=2", 0.6438055098076551),  # support (1, 2]
+    ("linearmit:xi=0.8,alpha=1,beta=0.5,b=0", None),
+    ("linearmit:xi=1,alpha=1,beta=-0.5,b=-1", -0.5617247113823053),
+])
+def test_negative_order_moment_without_closed_form_is_integrated(text, want):
+    # E[1/X] by mpmath; the binomial sums of type3ev and linearmit hold only for
+    # r >= 0, so below that raw_moment integrates (a diverging integral raises)
+    m = model_from_text(text)
+    if want is None:
+        with pytest.raises(DivergentMoment):
+            raw_moment(m, -1)
+    else:
+        assert raw_moment(m, -1) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("text, q, vb, beta", [
+    ("power:b=1.5,c=3", 3.0, 1.5, 1.0),
+    ("linearmit:xi=0.25,alpha=0,beta=1,b=1.5", 3.0, 1.5, 1.0),
+    ("linearmit:xi=0.5,alpha=0,beta=-1,b=-2", -3.0, 2.0, -1.0),  # X = -Y, Y Pareto(3, 2)
+])
+def test_power_law_moments_of_every_order(text, q, vb, beta):
+    # at alpha = 0, E[X^r] = q vb^r / ((q + r) beta^r) wherever it converges
+    m = model_from_text(text)
+    for r in (-2, -1, 1, 2):
+        assert raw_moment(m, r) == pytest.approx(
+            q * vb ** r / ((q + r) * beta ** r), rel=1e-15, abs=0.0)
+    with pytest.raises(DivergentMoment):
+        raw_moment(m, -3 if beta > 0.0 else 3)
+
+
 # ---------------------------------------------------------------------------
 # numeric moments for the families without closed forms: frozen values plus
 # a live scipy.integrate.quad cross-check of the same integral

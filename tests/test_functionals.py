@@ -81,6 +81,13 @@ def test_rai_example_power():
     assert rai(m, 0.5) == pytest.approx(1.4426950408889634, rel=1e-12)
 
 
+@pytest.mark.parametrize("text", ["uniform:b=1", "linearmit:xi=0.5,alpha=0,beta=1,b=1"])
+def test_rai_of_the_power_law_stays_finite_near_the_lower_end(text):
+    # (b - t)/(t log(b/t)); t - b rounds to -b here, and log1p(-1) would be -inf
+    t = 1e-300
+    assert rai(model_from_text(text), t) == pytest.approx(1.0 / (t * 300 * math.log(10)), rel=1e-14)
+
+
 def test_linearmit_eit_is_exactly_affine():
     m = model_from_text("linearmit:xi=0.8,alpha=1,beta=0.5,b=0")
     t1, t2 = -1.2, -0.4
