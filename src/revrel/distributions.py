@@ -6,7 +6,11 @@ inactivity time) plus the reversed aging intensity and raw moments where
 closed forms exist. All of them take a float; quantile also takes a numpy
 array of probabilities, and the three families without a closed inverse
 solve every element at once by Newton's method (``_newton_quantile``). A
-quantile stays strictly above a finite lower endpoint. The special functions
+quantile stays strictly above a finite lower endpoint. numpy is imported by
+the first array the package makes or reads (``np`` below is a handle that
+loads it on first attribute use): ``verify`` never loads it, nor does a
+scalar quantile of power, uniform or linearmit with beta != 0, which is
+plain ``math``. The special functions
 the closures need (exp(y)E1(y), Gamma(s, z), erfcx, Gamma and the damped
 series exp(-w) sum w^n/(n!(s+n))) are pure ``math``.
 Numerical code elsewhere in the package treats the
@@ -36,10 +40,24 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Mapping, Optional
 
-import numpy as np
-
 from ._e1_table import E1_OCTAVES
 from .errors import DivergentMoment, DomainError, ParameterError
+
+
+class _Numpy:
+    """numpy, imported by the first attribute read; each name read is then kept
+    on the handle, so later reads are plain attribute hits."""
+
+    def __getattr__(self, name):
+        import numpy
+        if not vars(self):
+            numpy.empty(1 << 21)  # the heap-threshold block; empirics says why
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 
 @dataclass(frozen=True)
@@ -729,7 +747,7 @@ def _above(quantile, support):
 
     def q(p):
         t = quantile(p)
-        return np.maximum(t, floor) if np.ndim(t) else max(t, floor)
+        return max(t, floor) if isinstance(t, float) else np.maximum(t, floor)
 
     return q
 

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, Tuple, Union
 
-import numpy as np
-
 from .characterizations import TheoremId
+from .distributions import np
 from .errors import NoMass, NonFiniteWeight, ParameterError, TooFewPoints
 
 # glibc's malloc serves blocks above its mmap threshold (128 KiB at start) by
@@ -33,7 +32,8 @@ from .errors import NoMass, NonFiniteWeight, ParameterError, TooFewPoints
 # large mmapped block raises both thresholds for the rest of the process and
 # keeps such arrays on a reused heap: a 20k-draw sample plus identify runs
 # about 25% faster. The block is never touched, so it costs no resident memory.
-np.empty(1 << 21)
+# The lazy ``np`` handle (distributions._Numpy) frees it right after it first
+# imports numpy, before any sample-sized array exists.
 
 __all__ = [
     "DEFAULT_CANDIDATES",

@@ -124,32 +124,42 @@ def _nodes(t):
     return (0 if t <= 0.0 else 1, near, w, 1.0), (0, u / om, w, om)
 
 
-def _build_levels(max_level):
-    """Per-level node tables (t, frame, q, w, om) of the finite and half-line maps."""
+def _level(k):
+    """Level k's node tables (t, frame, q, w, om) of the finite and half-line maps.
+
+    Level 0 holds the integers t in [-_T_MAX, _T_MAX]; level k > 0 the odd
+    multiples of 2**-k there, in the order +h, -h, +3h, -3h, ...
+    """
+    h = 0.5 ** k
+    ts = []
+    if k == 0:
+        ts.extend(float(j) for j in range(0, int(_T_MAX) + 1))
+        ts.extend(-float(j) for j in range(1, int(_T_MAX) + 1))
+    else:
+        j = 1
+        while j * h <= _T_MAX:
+            ts.append(j * h)
+            ts.append(-j * h)
+            j += 2
     finite, half_line = [], []
-    for k in range(max_level + 1):
-        h = 0.5 ** k
-        ts = []
-        if k == 0:
-            ts.extend(float(j) for j in range(0, int(_T_MAX) + 1))
-            ts.extend(-float(j) for j in range(1, int(_T_MAX) + 1))
-        else:
-            j = 1
-            while j * h <= _T_MAX:
-                ts.append(j * h)
-                ts.append(-j * h)
-                j += 2
-        finite.append([])
-        half_line.append([])
-        for t in ts:
-            pair = _nodes(t)
-            if pair is not None:
-                finite[-1].append((t,) + pair[0])
-                half_line[-1].append((t,) + pair[1])
-    return tuple(map(tuple, finite)), tuple(map(tuple, half_line))
+    for t in ts:
+        pair = _nodes(t)
+        if pair is not None:
+            finite.append((t,) + pair[0])
+            half_line.append((t,) + pair[1])
+    return tuple(finite), tuple(half_line)
 
 
-_FINITE_NODES, _HALF_LINE_NODES = _build_levels(_ROOT_LEVELS)
+# Node tables by level, appended by _pass the first time a sweep reaches a
+# level: a process whose sweeps all converge by level 6 builds 769 of the
+# 6,145 nodes per map, and one that never integrates builds none.
+_FINITE_NODES, _HALF_LINE_NODES = [], []
+
+
+def _add_level():
+    finite, half_line = _level(len(_FINITE_NODES))
+    _FINITE_NODES.append(finite)
+    _HALF_LINE_NODES.append(half_line)
 
 
 def _safe_eval(f, x):
@@ -236,6 +246,8 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
     isfinite = math.isfinite  # a local: the node loop runs once per evaluation
 
     for k in range(levels_cap + 1):
+        if k == len(nodes):
+            _add_level()
         h = 0.5 ** k
         new_wf = 0.0
         for (t, frame, q, w, om) in nodes[k]:

@@ -1,6 +1,8 @@
 """Module layering: every intra-package import sits at module level, the
-modules of ``revrel`` import each other without a cycle, and nothing in the
-package loads scipy, which is a test-time reference only."""
+modules of ``revrel`` import each other without a cycle, nothing in the
+package loads scipy, which is a test-time reference only, and numpy loads
+only with the first array: importing the CLI, the default ``verify`` and
+``table`` on a closed-form scalar quantile leave it unloaded."""
 
 import ast
 import io
@@ -12,6 +14,7 @@ from pathlib import Path
 from revrel.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "revrel"
+DATA = Path(__file__).resolve().parent / "data"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
@@ -115,3 +118,38 @@ def test_default_verify_runs_with_scipy_imports_refused():
     here = io.StringIO()
     assert main(["verify"], stdout=here, stderr=io.StringIO()) == 0
     assert out.stdout == here.getvalue()
+
+
+_NUMPY_FREE = """
+import io, sys
+import revrel, revrel.cli
+from revrel.cli import main
+
+def run(*args):
+    code = main(list(args), stdout=io.StringIO(), stderr=io.StringIO())
+    assert code == 0, args
+
+run("verify")
+for family in ("power:b=1,c=2", "uniform:b=1", "linearmit:xi=0.8,alpha=1,beta=0.5,b=0"):
+    run("table", "--family", family)
+print("numpy" in sys.modules)
+"""
+
+
+def test_verify_and_closed_form_tables_load_no_numpy():
+    # numpy was about half of a cold `import revrel.cli`
+    out = _run_python(_NUMPY_FREE)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_identify_loads_numpy_and_keeps_its_output():
+    sample = DATA / "power_sample_400.txt"
+    out = _run_python("import sys\n"
+                      "from revrel.cli import main\n"
+                      f"code = main(['identify', {str(sample)!r}])\n"
+                      "sys.stderr.write(str('numpy' in sys.modules))\n"
+                      "sys.exit(code)")
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == "True"
+    assert out.stdout == (DATA / "power_sample_400_identify.json").read_text(encoding="utf-8")

@@ -1,12 +1,17 @@
 """Quadrature engine tests: frozen statuses, oracle values, properties."""
 
 import math
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 
+import revrel
 from revrel import quadrature
 from revrel.errors import NonFiniteWeight, ParameterError
 from revrel.quadrature import (
@@ -245,6 +250,58 @@ def test_polynomial_matches_antiderivative(coeffs, width, lo):
     exact = antideriv(hi) - antideriv(lo)
     assert res.status is QuadStatus.Converged
     assert abs(res.value - exact) <= 1e-8 * max(1.0, abs(exact))
+
+
+# ------------------------------------------------------------ node tables
+
+LEVEL_SIZES = (13, 12, 24, 48, 96, 192, 384, 768, 1536, 3072)
+
+
+def _all_levels():
+    """The per-level tables of both maps, every level up to the root cap built."""
+    while len(quadrature._FINITE_NODES) <= quadrature._ROOT_LEVELS:
+        quadrature._add_level()
+    return quadrature._FINITE_NODES, quadrature._HALF_LINE_NODES
+
+
+def test_node_tables_per_level():
+    finite, half_line = _all_levels()
+    assert tuple(map(len, finite)) == LEVEL_SIZES
+    assert tuple(map(len, half_line)) == LEVEL_SIZES
+    assert sum(LEVEL_SIZES) == 6145
+    for k, (f_level, h_level) in enumerate(zip(finite, half_line)):
+        ts = [entry[0] for entry in f_level]
+        assert ts == [entry[0] for entry in h_level]
+        if k == 0:
+            assert ts == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0]
+        else:
+            h = 0.5 ** k
+            assert ts[0::2] == [j * h for j in range(1, int(6 / h), 2)]
+            assert ts[1::2] == [-t for t in ts[0::2]]
+        for t_f, t_h in zip(f_level, h_level):
+            t = t_f[0]
+            assert t_f == (t,) + quadrature._nodes(t)[0]
+            assert t_h == (t,) + quadrature._nodes(t)[1]
+
+
+def test_node_levels_build_alike_in_any_order():
+    in_order = [quadrature._level(k) for k in range(quadrature._ROOT_LEVELS + 1)]
+    shuffled = list(range(quadrature._ROOT_LEVELS + 1))
+    random.Random(3).shuffle(shuffled)
+    assert {k: quadrature._level(k) for k in shuffled} == dict(enumerate(in_order))
+    finite, half_line = _all_levels()
+    assert list(finite) == [level[0] for level in in_order]
+    assert list(half_line) == [level[1] for level in in_order]
+
+
+def test_import_builds_no_node_level():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revrel.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import revrel, revrel.cli, revrel.quadrature as q; "
+         "print(len(q._FINITE_NODES), len(q._HALF_LINE_NODES))"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 # ------------------------------------------------------ evaluation budget
