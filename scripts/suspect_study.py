@@ -11,9 +11,10 @@ shows why, from two directions:
    printed next to each window.
 
 2. For T3_7 both factors converge, so the product is a well-defined
-   number; it is simply not 1. The ratio is swept across a tolerance
-   ladder and a parameter grid to show it is stable and bounded away
-   from 1 everywhere.
+   number; at the catalog default it is not 1. The ratio is swept across
+   a tolerance ladder (stable) and a parameter grid. It is not bounded
+   away from 1: as gamma grows the law concentrates at b, w*eit flattens
+   and the ratio falls toward 1, reading Equality from gamma = 256.
 
 Usage:
     python3 scripts/suspect_study.py
@@ -39,7 +40,7 @@ def windowed_reciprocal_factor(model, weight, eps):
             return 0.0
         return d / (weight(x) * eit(model, x))
 
-    res = integrate_finite(integrand, lo, hi, Tolerances(rel_tol=1e-8, abs_tol=1e-12))
+    res = integrate_finite(integrand, lo, hi, Tolerances(rel_tol=1e-8))
     if res.status is not QuadStatus.Converged:
         return math.inf
     return res.value
@@ -68,7 +69,7 @@ def t3_7_stability():
     print(f"\nT3_7 on {text}")
     print("  tolerance ladder:")
     for rel in (1e-7, 1e-8, 1e-9, 1e-10, 1e-11):
-        tol = Tolerances(rel_tol=rel, abs_tol=rel * 1e-3)
+        tol = Tolerances(rel_tol=rel)
         r = run_check(check, model_from_text(text), tol=tol)
         print(f"    rel_tol={rel:.0e}  ratio={r.ratio:.12f}  {r.verdict.value}")
 
@@ -82,7 +83,12 @@ def t3_7_stability():
             cells.append(f"{r.ratio:8.4f}")
             worst = min(worst, r.ratio)
         print(f"    gamma={gamma:<4g} " + "  ".join(cells))
-    print(f"  minimum ratio over the grid: {worst:.4f} (never approaches 1)")
+    print(f"  minimum ratio over the grid: {worst:.4f}")
+    print("  as gamma grows the law concentrates at b and the ratio falls to 1:")
+    for gamma in (2.0, 64.0, 256.0):
+        m = model_from_text(f"basealinkedeit:gamma={gamma},delta=0.5,a_base=2,b=0")
+        r = run_check(check, m)
+        print(f"    gamma={gamma:<4g} delta=0.5  ratio={r.ratio:.7f}  {r.verdict.value}")
     print("  below gamma = ln(2) the left tail outruns the 2^-x weight and the")
     print("  factor itself stops existing; the engine reports those Divergent")
 

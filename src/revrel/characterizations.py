@@ -53,7 +53,7 @@ from .distributions import (
     make_distribution,
     model_from_text,
 )
-from .errors import DivergentMoment, ParameterError
+from .errors import DivergentMoment, DomainError, ParameterError
 from .functionals import rai, raw_moment
 from .quadrature import (
     DEFAULT_TOL,
@@ -508,23 +508,22 @@ def _factors(check: CheckSpec, model: DistributionModel) -> Tuple[Callable[[floa
 
 
 def _rhs(check: CheckSpec, model: DistributionModel) -> float:
+    """The right-hand side; a DomainError names the moment that makes it 0 or 1/0."""
     kind = check.kind
     if kind == _KIND_PRODUCT or kind == _KIND_MIXED_ONE:
         return 1.0
-    if kind == _KIND_MIXED_MUSQ:
-        mu_k = raw_moment(model, check.k)
-        return mu_k * mu_k
-    # moment bounds; mu_k^2 appears over the x^k weights, not the x^-k ones
     k = check.k
-    b = model.support.upper
-    denom = b ** (k + 1) - raw_moment(model, k + 1)
-    if denom == 0.0:
-        raise DivergentMoment(
-            f"degenerate moment denominator b^{k + 1} - mu_{k + 1} = 0")
-    if _row(check.id).weight is _X_TO_K:
-        mu_k = raw_moment(model, k)
-        return (k + 1) * mu_k * mu_k / denom
-    return (k + 1) / denom
+    if kind == _KIND_MOMENT:
+        b = model.support.upper
+        denom = b ** (k + 1) - raw_moment(model, k + 1)
+        if denom == 0.0:
+            raise DomainError(f"degenerate right-hand side: b^{k + 1} - mu_{k + 1} = 0")
+        if _row(check.id).weight is not _X_TO_K:
+            return (k + 1) / denom  # mu_k^2 appears over the x^k weights only
+    mu_k = raw_moment(model, k)
+    if mu_k * mu_k == 0.0:
+        raise DomainError(f"degenerate right-hand side: mu_{k}^2 = 0 (mu_{k} = {mu_k!r})")
+    return mu_k * mu_k if kind == _KIND_MIXED_MUSQ else (k + 1) * mu_k * mu_k / denom
 
 
 def _support_mismatch(check: CheckSpec, model: DistributionModel) -> Optional[str]:
@@ -544,8 +543,9 @@ def run_check(check: CheckSpec, model: DistributionModel,
     """Evaluate one check against one model and classify the outcome.
 
     All failure modes are verdicts, never exceptions: a support the
-    check does not cover is DomainMismatch, any component integral or
-    required moment that fails to converge is Divergent.
+    check does not cover, or a right-hand side that is 0 or has a 0
+    denominator, is DomainMismatch; any component integral or required
+    moment that fails to converge is Divergent.
     """
     if not eq_tol > 0.0:
         raise ParameterError(f"eq_tol must be positive, got {eq_tol!r}")
@@ -569,6 +569,8 @@ def run_check(check: CheckSpec, model: DistributionModel,
 
     try:
         rhs = _rhs(check, model)
+    except DomainError as exc:
+        return report(Verdict.DomainMismatch, note=str(exc))
     except DivergentMoment as exc:
         return report(Verdict.Divergent, note=str(exc))
 

@@ -61,7 +61,6 @@ class RunConfig:
     theorems: List[str] = field(default_factory=list)
     grid: int = 16
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
     eq_tol: float = 1e-4
     trim: float = 0.05
     fmt: str = "json"
@@ -76,7 +75,6 @@ _FLAGS = {
                       help="check id filter, e.g. T2_1 (repeatable)"),
     "--grid": dict(type=int, help="table grid size (>= 8)"),
     "--rel-tol": dict(type=float, dest="rel_tol"),
-    "--abs-tol": dict(type=float, dest="abs_tol"),
     "--eq-tol": dict(type=float, dest="eq_tol",
                      help="relative half-width of the equality band"),
     "--trim": dict(type=float,
@@ -93,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # the RunConfig default in place
     for name, help_text, fmt, flags in (
             ("verify", "run the inequality check matrix", "json",
-             ("--family", "--theorem", "--rel-tol", "--abs-tol", "--eq-tol")),
+             ("--family", "--theorem", "--rel-tol", "--eq-tol")),
             ("table", "tabulate the functionals of one family", "csv", ("--family", "--grid")),
             ("identify", "rank candidate families for a sample", "json", ("--trim",))):
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
@@ -112,8 +110,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**vars(args))
     if not cfg.rel_tol > 0.0:
         raise _ConfigError(f"--rel-tol must be positive, got {cfg.rel_tol!r}")
-    if not cfg.abs_tol > 0.0:
-        raise _ConfigError(f"--abs-tol must be positive, got {cfg.abs_tol!r}")
     if not cfg.eq_tol > 0.0:
         raise _ConfigError(f"--eq-tol must be positive, got {cfg.eq_tol!r}")
     if cfg.grid < 8:
@@ -154,7 +150,7 @@ def _selected_models(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig, stdout: TextIO, stderr: TextIO) -> int:
-    tol = Tolerances(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+    tol = Tolerances(rel_tol=cfg.rel_tol)
     reports = run_matrix(_selected_models(cfg), _selected_checks(cfg),
                          tol, cfg.eq_tol)
     text = reports_to_json(reports) if cfg.fmt == "json" else reports_to_csv(reports)

@@ -64,7 +64,7 @@ __all__ = [
 
 # Residual and reconstruction helpers integrate to much tighter targets
 # than the default engine contract; they feed 1e-4 / 1e-6 level checks.
-_TIGHT_TOL = Tolerances(rel_tol=1e-12, abs_tol=1e-15)
+_TIGHT_TOL = Tolerances(rel_tol=1e-12)
 
 
 def _require_interior(model: DistributionModel, t: float) -> None:

@@ -6,7 +6,9 @@ properties that off-the-shelf fixed rules do not combine:
 * open rules only: integrands such as c/x or reciprocal inactivity times
   are singular at an endpoint of the support and must never be evaluated
   there;
-* a trustworthy error estimate tied to the requested tolerances;
+* a trustworthy error estimate: ``Converged`` means err_estimate <=
+  rel_tol * integral of |f|, with no absolute floor, so scaling f by 2**-n
+  scales the value and keeps the status and the evaluation count;
 * an explicit verdict when the integral simply does not exist. Several
   expectations in the check matrix diverge (harmonic-type tails), and the
   engine has to say so instead of returning a large number or crashing.
@@ -54,12 +56,12 @@ class QuadStatus(Enum):
 
 @dataclass(frozen=True)
 class Tolerances:
+    """The engine's one knob: error relative to the integral of |f|."""
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ParameterError("tolerances must be positive")
+        if not self.rel_tol > 0.0:
+            raise ParameterError("rel_tol must be positive")
 
 
 DEFAULT_TOL = Tolerances()
@@ -228,13 +230,15 @@ def _edge_probe(f, half_line, frames, lo, hi, length, target, budget):
 def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
     """One tanh-sinh sweep over the nodes of one map that fall inside (lo, hi).
 
-    The level sum is scaled by h and then by length (1 on a half line).
-    Status MaxDepth means the sweep settled nothing: a non-finite value inside
-    a finite interval, or the level cap or the evaluation budget reached.
+    Sums scale by h and then by length (1 on a half line); the target is rel_tol
+    times the integral of |f|, sum(g) - 2*sum(g < 0).  Status MaxDepth means the
+    sweep settled nothing: a non-finite value inside a finite interval, or the
+    level cap or the evaluation budget reached.
     """
     levels_cap = _ROOT_LEVELS if depth == 0 else _CHILD_LEVELS
     half_line = math.isinf(hi - lo)
     total_wf = 0.0
+    total_neg = 0.0  # the negative part of total_wf, so |f| needs no abs() per node
     s_prev = math.nan
     err = math.inf
     growth_run = 0
@@ -250,6 +254,7 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
             _add_level()
         h = 0.5 ** k
         new_wf = 0.0
+        new_neg = 0.0
         for (t, frame, q, w, om) in nodes[k]:
             base, step = frames[frame]
             x = base + step * q
@@ -276,6 +281,8 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
                 return QuadResult(total_wf * h * length, math.inf,
                                   QuadStatus.MaxDepth, evaluations)
             new_wf += g
+            if g < 0.0:
+                new_neg += g
             if abs(t) >= tail_start and g != 0.0:
                 side = -1 if t < 0.0 else 1
                 tail[side].append((abs(t), math.log(abs(g))))
@@ -284,13 +291,14 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
                 return QuadResult((total_wf + new_wf) * h * length, err,
                                   QuadStatus.MaxDepth, evaluations)
         total_wf += new_wf
+        total_neg += new_neg
         s_cur = total_wf * h * length
-        target = max(tol.abs_tol, tol.rel_tol * abs(s_cur))
+        target = tol.rel_tol * ((total_wf - 2.0 * total_neg) * h * length)
         tail_mass = tail_abs_sum * h * length
 
         if not math.isnan(s_prev):
             err = abs(s_cur - s_prev)
-            if abs(s_cur) > _GROWTH_FACTOR * abs(s_prev) and abs(s_cur) > 10.0 * tol.abs_tol:
+            if abs(s_cur) > _GROWTH_FACTOR * abs(s_prev) and abs(s_cur) > 10.0 * target:
                 growth_run += 1
                 if growth_run >= _GROWTH_RUNS:
                     return QuadResult(s_cur, math.inf, QuadStatus.Divergent, evaluations)
@@ -306,8 +314,7 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
                                   evaluations)
         s_prev = s_cur
 
-    probed, divergent = _edge_probe(f, half_line, frames, lo, hi, length,
-                                    max(tol.abs_tol, tol.rel_tol * abs(s_prev)), budget)
+    probed, divergent = _edge_probe(f, half_line, frames, lo, hi, length, target, budget)
     status = QuadStatus.Divergent if divergent else QuadStatus.MaxDepth
     return QuadResult(s_prev, math.inf if divergent else err, status, evaluations + probed)
 
@@ -317,8 +324,8 @@ def _settled(p: QuadResult, depth: int, budget) -> bool:
     return p.status is not QuadStatus.MaxDepth or depth >= _MAX_DEPTH or budget[0] <= 0
 
 
-def _combine(left: QuadResult, right: QuadResult, tol: Tolerances,
-             pass_evaluations: int) -> QuadResult:
+def _combine(left: QuadResult, right: QuadResult, pass_evaluations: int) -> QuadResult:
+    """The halves' sum: each met rel_tol times its own integral of |f|, so the sum does."""
     value = left.value + right.value
     err = left.err_estimate + right.err_estimate
     evaluations = left.evaluations + right.evaluations + pass_evaluations
@@ -328,10 +335,6 @@ def _combine(left: QuadResult, right: QuadResult, tol: Tolerances,
         status = QuadStatus.MaxDepth
     else:
         status = QuadStatus.Converged
-        if err > max(tol.abs_tol, tol.rel_tol * abs(value)):
-            # the halves converged individually but their combined error
-            # no longer meets the contract, so do not claim convergence
-            status = QuadStatus.MaxDepth
     return QuadResult(value, err, status, evaluations)
 
 
@@ -346,7 +349,7 @@ def _integrate(f, lo, hi, tol, depth, budget) -> QuadResult:
         return p
     left = _integrate(f, lo, mid, tol, depth + 1, budget)
     right = _integrate(f, mid, hi, tol, depth + 1, budget)
-    return _combine(left, right, tol, p.evaluations)
+    return _combine(left, right, p.evaluations)
 
 
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
@@ -354,8 +357,8 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     """Adaptive estimate of the integral of f over the finite interval (lo, hi).
 
     Endpoints are never evaluated. Returns a QuadResult whose status is
-    Converged, Divergent, or MaxDepth when the subdivision budget ran out
-    before the tolerance was met.
+    Converged (err_estimate <= rel_tol * integral of |f|), Divergent, or
+    MaxDepth when the subdivision budget ran out before that was met.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError("integrate_finite needs finite endpoints")
@@ -374,7 +377,7 @@ def _half_line(f, anchor, sign, tol, depth, budget) -> QuadResult:
     cut = anchor + sign * 2.0 ** depth
     finite_part = _integrate(f, min(anchor, cut), max(anchor, cut), tol, depth + 1, budget)
     rest = _half_line(f, cut, sign, tol, depth + 1, budget)
-    return _combine(finite_part, rest, tol, p.evaluations)
+    return _combine(finite_part, rest, p.evaluations)
 
 
 def integrate_lower_unbounded(f: Callable[[float], float], hi: float,

@@ -319,7 +319,7 @@ def test_criterion_5_functional_identities():
 
 def test_criterion_6_suspect_stability():
     problems = []
-    tight = Tolerances(rel_tol=1e-11, abs_tol=1e-14)
+    tight = Tolerances(rel_tol=1e-11)
     notes = []
 
     divergent_suspects = (

@@ -108,6 +108,8 @@ def test_verify_writes_out_file(tmp_path):
     (("table", "--family", "explinkedeit:theta=1,b=1000"), "explinkedeit"),
     # a model that builds but whose pdf overflows on the grid
     (("table", "--family", "power:b=1e-320,c=3", "--grid", "8"), "pdf overflows"),
+    # the engine has one tolerance, relative to the integral of |f|
+    (("verify", "--abs-tol", "1e-12"), "abs-tol"),
 ))
 def test_config_errors_exit_one_and_name_the_problem(argv, needle):
     code, _, err = run_cli(*argv)

@@ -98,9 +98,48 @@ def test_finite_interval_validation():
 
 def test_tolerances_validation():
     with pytest.raises(ParameterError):
-        Tolerances(rel_tol=-1e-9, abs_tol=1e-12)
+        Tolerances(rel_tol=-1e-9)
     with pytest.raises(ParameterError):
-        Tolerances(rel_tol=1e-9, abs_tol=0.0)
+        Tolerances(rel_tol=0.0)
+
+
+# ------------------------------------------ convergence relative to |f|
+
+_SCALE_CASES = (
+    ("x**-0.5 on (0, 1)", lambda x: x ** -0.5, integrate_finite, (0.0, 1.0)),
+    ("exp(-x*x) on (0, 3)", lambda x: math.exp(-x * x), integrate_finite, (0.0, 3.0)),
+    ("sin on (0, 2pi)", math.sin, integrate_finite, (0.0, 2.0 * math.pi)),
+    ("1/(1+x*x) on (-inf, 0]", lambda x: 1.0 / (1.0 + x * x), integrate_lower_unbounded, (0.0,)),
+    ("x**-2 on [1, inf)", lambda x: x ** -2, integrate_upper_unbounded, (1.0,)),
+    ("exp(x) on (-inf, 0]", math.exp, integrate_lower_unbounded, (0.0,)),
+    ("1/x on (0, 1)", lambda x: 1.0 / x, integrate_finite, (0.0, 1.0)),
+)
+
+
+@pytest.mark.parametrize("name,f,integrate,args", _SCALE_CASES, ids=[c[0] for c in _SCALE_CASES])
+@pytest.mark.parametrize("scale", (2.0 ** -100, 2.0 ** -600), ids=("2**-100", "2**-600"))
+def test_result_is_equivariant_under_power_of_two_scaling(name, f, integrate, args, scale):
+    # no absolute floor: a small integrand is integrated as carefully as a
+    # large one, so scaling by 2**-n changes nothing but the value
+    unit = integrate(f, *args)
+    scaled = integrate(lambda x: scale * f(x), *args)
+    assert scaled.value == scale * unit.value
+    assert scaled.status is unit.status
+    assert scaled.evaluations == unit.evaluations
+
+
+@pytest.mark.parametrize("f,lo,hi,most", (
+    (math.sin, 0.0, 2.0 * math.pi, 74),
+    (lambda x: x, -1.0, 1.0, 51),
+    (lambda x: x ** 3, -2.0, 2.0, 51),
+))
+def test_cancelling_integrand_converges_at_the_cost_of_its_magnitude(f, lo, hi, most):
+    # the target is rel_tol times the integral of |f|, not of |sum|, which
+    # here is rounding noise
+    res = integrate_finite(f, lo, hi)
+    assert res.status is QuadStatus.Converged
+    assert res.evaluations <= most
+    assert abs(res.value) < 1e-12
 
 
 # ------------------------------------------------------- lower unbounded
