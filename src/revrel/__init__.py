@@ -36,7 +36,6 @@ from .distributions import (
     quantile_at,
 )
 from .functionals import (
-    FunctionalProfile,
     cdf_from_rhr,
     eit,
     functional_profile,

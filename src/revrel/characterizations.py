@@ -75,6 +75,7 @@ __all__ = [
     "equality_family",
     "expected_equality_pair",
     "make_check",
+    "records_to_csv",
     "report_records",
     "reports_to_csv",
     "reports_to_json",
@@ -508,22 +509,33 @@ def _factors(check: CheckSpec, model: DistributionModel) -> Tuple[Callable[[floa
 
 
 def _rhs(check: CheckSpec, model: DistributionModel) -> float:
-    """The right-hand side; a DomainError names the moment that makes it 0 or 1/0."""
+    """The right-hand side, finite and non-zero; a DomainError names the term that is not."""
     kind = check.kind
     if kind == _KIND_PRODUCT or kind == _KIND_MIXED_ONE:
         return 1.0
     k = check.k
+    denom = f"b^{k + 1} - mu_{k + 1}"
     if kind == _KIND_MOMENT:
-        b = model.support.upper
-        denom = b ** (k + 1) - raw_moment(model, k + 1)
-        if denom == 0.0:
-            raise DomainError(f"degenerate right-hand side: b^{k + 1} - mu_{k + 1} = 0")
+        d = _rhs_term(denom, lambda: model.support.upper ** (k + 1) - raw_moment(model, k + 1))
         if _row(check.id).weight is not _X_TO_K:
-            return (k + 1) / denom  # mu_k^2 appears over the x^k weights only
+            return _rhs_term(f"{k + 1}/({denom})", lambda: (k + 1) / d)
     mu_k = raw_moment(model, k)
-    if mu_k * mu_k == 0.0:
-        raise DomainError(f"degenerate right-hand side: mu_{k}^2 = 0 (mu_{k} = {mu_k!r})")
-    return mu_k * mu_k if kind == _KIND_MIXED_MUSQ else (k + 1) * mu_k * mu_k / denom
+    musq = _rhs_term(f"mu_{k}^2", lambda: mu_k * mu_k, f" (mu_{k} = {mu_k!r})")
+    if kind == _KIND_MIXED_MUSQ:
+        return musq
+    # not (k + 1) * musq: the reported rhs keeps this rounding
+    return _rhs_term(f"{k + 1}*mu_{k}^2/({denom})", lambda: (k + 1) * mu_k * mu_k / d)
+
+
+def _rhs_term(name: str, compute: Callable[[], float], detail: str = "") -> float:
+    """compute(), unless it overflows or is 0 or not finite: then a DomainError names it."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if value == 0.0 or not math.isfinite(value):
+        raise DomainError(f"degenerate right-hand side: {name} = {value:g}{detail}")
+    return value
 
 
 def _support_mismatch(check: CheckSpec, model: DistributionModel) -> Optional[str]:
@@ -543,9 +555,9 @@ def run_check(check: CheckSpec, model: DistributionModel,
     """Evaluate one check against one model and classify the outcome.
 
     All failure modes are verdicts, never exceptions: a support the
-    check does not cover, or a right-hand side that is 0 or has a 0
-    denominator, is DomainMismatch; any component integral or required
-    moment that fails to converge is Divergent.
+    check does not cover, or a right-hand side term that is 0, overflows
+    or is not finite, is DomainMismatch; any component integral or
+    required moment that fails to converge is Divergent.
     """
     if not eq_tol > 0.0:
         raise ParameterError(f"eq_tol must be positive, got {eq_tol!r}")
@@ -588,14 +600,8 @@ def run_check(check: CheckSpec, model: DistributionModel,
     for r in results:
         lhs *= r.value
     gap = lhs - rhs
-    if rhs != 0.0:
-        ratio = lhs / rhs
-    else:
-        ratio = nan
-    if math.isnan(ratio):
-        verdict = Verdict.Violation if lhs < 0.0 else (
-            Verdict.Equality if lhs == 0.0 else Verdict.StrictInequality)
-    elif abs(ratio - 1.0) <= eq_tol:
+    ratio = lhs / rhs
+    if abs(ratio - 1.0) <= eq_tol:
         verdict = Verdict.Equality
     elif ratio > 1.0:
         verdict = Verdict.StrictInequality
@@ -651,29 +657,25 @@ def reports_to_json(reports: Sequence[CheckReport]) -> str:
     return json.dumps(report_records(reports), indent=2)
 
 
-_CSV_FIELDS = ("theorem", "family", "params", "lhs", "rhs", "ratio", "gap",
-               "verdict", "err_estimates", "suspect", "expected_equality",
-               "claimed_equality", "note")
+def records_to_csv(records: Sequence[Mapping[str, object]]) -> str:
+    """CSV with the record keys as header: floats by repr, None empty, lists
+    joined by ';', booleans true/false, cells holding ',' or '"' quoted."""
+    def cell(v: object) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            return repr(v)
+        if isinstance(v, list):
+            return ";".join(cell(e) for e in v)
+        text = str(v)
+        return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+    lines = [",".join(records[0])] if records else []
+    lines.extend(",".join(cell(v) for v in rec.values()) for rec in records)
+    return "\n".join(lines) + "\n"
 
 
 def reports_to_csv(reports: Sequence[CheckReport]) -> str:
-    lines = [",".join(_CSV_FIELDS)]
-    for rec in report_records(reports):
-        row = []
-        for name in _CSV_FIELDS:
-            v = rec[name]
-            if v is None:
-                row.append("")
-            elif name == "err_estimates":
-                row.append(";".join("" if e is None else repr(e) for e in v))
-            elif isinstance(v, bool):
-                row.append("true" if v else "false")
-            elif isinstance(v, float):
-                row.append(repr(v))
-            else:
-                cell = str(v)
-                if "," in cell or '"' in cell:
-                    cell = '"' + cell.replace('"', '""') + '"'
-                row.append(cell)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return records_to_csv(report_records(reports))

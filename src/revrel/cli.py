@@ -22,14 +22,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from .characterizations import (
     TheoremId,
     Verdict,
-    default_models,
+    _num,
     make_check,
+    records_to_csv,
     reports_to_csv,
     reports_to_json,
     run_matrix,
@@ -40,7 +40,7 @@ from .empirics import identify, read_samples
 from .functionals import functional_profile
 from .quadrature import Tolerances
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
 class _ConfigError(Exception):
@@ -54,30 +54,31 @@ class _Parser(argparse.ArgumentParser):
         raise _ConfigError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    families: List[str] = field(default_factory=list)
-    theorems: List[str] = field(default_factory=list)
-    grid: int = 16
-    rel_tol: float = 1e-9
-    eq_tol: float = 1e-4
-    trim: float = 0.05
-    fmt: str = "json"
-    out: Optional[str] = None
-    sample_path: Optional[str] = None
+def _checked(kind, valid, rule: str):
+    """An argparse type: kind(text), rejected unless valid; names the rule."""
+    def parse(text: str):
+        value = kind(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {value!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 _FLAGS = {
-    "--family": dict(action="append", dest="families", metavar="TEXT",
+    "--family": dict(action="append", dest="families", default=[], metavar="TEXT",
                      help="family in text form, e.g. power:b=1,c=2 (repeatable)"),
-    "--theorem": dict(action="append", dest="theorems", metavar="ID",
+    "--theorem": dict(action="append", dest="theorems", default=[], metavar="ID",
                       help="check id filter, e.g. T2_1 (repeatable)"),
-    "--grid": dict(type=int, help="table grid size (>= 8)"),
-    "--rel-tol": dict(type=float, dest="rel_tol"),
-    "--eq-tol": dict(type=float, dest="eq_tol",
+    "--grid": dict(type=_checked(int, lambda v: v >= 8, "be at least 8"), default=16,
+                   help="table grid size (>= 8)"),
+    "--rel-tol": dict(type=_checked(float, lambda v: v > 0.0, "be positive"),
+                      dest="rel_tol", default=1e-9),
+    "--eq-tol": dict(type=_checked(float, lambda v: v > 0.0, "be positive"),
+                     dest="eq_tol", default=1e-4,
                      help="relative half-width of the equality band"),
-    "--trim": dict(type=float,
+    "--trim": dict(type=_checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+                   default=0.05,
                    help="fraction of the sample head excluded from gap statistics"),
 }
 
@@ -87,14 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="revrel",
         description="Reversed-time functional checks for right-truncated models.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # each subcommand takes only the flags it reads; an unset flag leaves
-    # the RunConfig default in place
+    # each subcommand takes only the flags it reads
     for name, help_text, fmt, flags in (
             ("verify", "run the inequality check matrix", "json",
              ("--family", "--theorem", "--rel-tol", "--eq-tol")),
             ("table", "tabulate the functionals of one family", "csv", ("--family", "--grid")),
             ("identify", "rank candidate families for a sample", "json", ("--trim",))):
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=help_text)
         if name == "identify":
             p.add_argument("sample_path", metavar="sample",
                            help="text file, one value per line, # comments")
@@ -104,19 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH",
                        help="write the report here instead of stdout")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(**vars(args))
-    if not cfg.rel_tol > 0.0:
-        raise _ConfigError(f"--rel-tol must be positive, got {cfg.rel_tol!r}")
-    if not cfg.eq_tol > 0.0:
-        raise _ConfigError(f"--eq-tol must be positive, got {cfg.eq_tol!r}")
-    if cfg.grid < 8:
-        raise _ConfigError(f"--grid must be at least 8, got {cfg.grid!r}")
-    if not 0.0 <= cfg.trim < 1.0:
-        raise _ConfigError(f"--trim must lie in [0, 1), got {cfg.trim!r}")
-    return cfg
 
 
 def _emit(text: str, out: Optional[str], stdout: TextIO) -> None:
@@ -129,12 +116,18 @@ def _emit(text: str, out: Optional[str], stdout: TextIO) -> None:
             fh.write(text)
 
 
-def _selected_checks(cfg: RunConfig):
-    if not cfg.theorems:
+def _render(payload, rows, args: argparse.Namespace, stdout: TextIO) -> None:
+    """The payload as JSON or its rows as CSV, to --out or stdout."""
+    text = json.dumps(payload, indent=2) if args.fmt == "json" else records_to_csv(rows)
+    _emit(text, args.out, stdout)
+
+
+def _selected_checks(args: argparse.Namespace):
+    if not args.theorems:
         return None  # run_matrix default: the full catalog
     by_value = {tid.value: tid for tid in TheoremId}
     checks = []
-    for name in cfg.theorems:
+    for name in args.theorems:
         if name not in by_value:
             raise _ConfigError(
                 f"--theorem {name!r} is not a known check id "
@@ -143,18 +136,18 @@ def _selected_checks(cfg: RunConfig):
     return checks
 
 
-def _selected_models(cfg: RunConfig):
-    if not cfg.families:
+def _selected_models(args: argparse.Namespace):
+    if not args.families:
         return None  # run_matrix default: the fixture catalog
-    return [model_from_text(text) for text in cfg.families]
+    return [model_from_text(text) for text in args.families]
 
 
-def cmd_verify(cfg: RunConfig, stdout: TextIO, stderr: TextIO) -> int:
-    tol = Tolerances(rel_tol=cfg.rel_tol)
-    reports = run_matrix(_selected_models(cfg), _selected_checks(cfg),
-                         tol, cfg.eq_tol)
-    text = reports_to_json(reports) if cfg.fmt == "json" else reports_to_csv(reports)
-    _emit(text, cfg.out, stdout)
+def cmd_verify(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
+    tol = Tolerances(rel_tol=args.rel_tol)
+    reports = run_matrix(_selected_models(args), _selected_checks(args),
+                         tol, args.eq_tol)
+    text = reports_to_json(reports) if args.fmt == "json" else reports_to_csv(reports)
+    _emit(text, args.out, stdout)
 
     counts = {}
     for r in reports:
@@ -174,60 +167,25 @@ def cmd_verify(cfg: RunConfig, stdout: TextIO, stderr: TextIO) -> int:
     return 0
 
 
-def cmd_table(cfg: RunConfig, stdout: TextIO, stderr: TextIO) -> int:
-    if len(cfg.families) != 1:
+def cmd_table(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
+    if len(args.families) != 1:
         raise _ConfigError("table needs exactly one --family")
-    model = model_from_text(cfg.families[0])
-    with_rai = math.isfinite(model.support.upper)
-    if not with_rai:
+    model = model_from_text(args.families[0])
+    if not math.isfinite(model.support.upper):
         stderr.write("rai column omitted: support is unbounded above\n")
-    rows = []
-    for i in range(cfg.grid):
-        p = (i + 1) / (cfg.grid + 1)
-        prof = functional_profile(model, float(model.quantile(p)))
-        row = {"t": prof.t, "cdf": prof.cdf, "pdf": prof.pdf,
-               "rhr": prof.rhr, "eit": prof.eit}
-        if with_rai:
-            row["rai"] = prof.rai
-        rows.append(row)
-    if cfg.fmt == "json":
-        text = json.dumps(rows, indent=2)
-    else:
-        names = list(rows[0].keys())
-        lines = [",".join(names)]
-        lines.extend(",".join(repr(row[n]) for n in names) for row in rows)
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg.out, stdout)
+    rows = [functional_profile(model, float(model.quantile((i + 1) / (args.grid + 1))))
+            for i in range(args.grid)]
+    _render(rows, rows, args, stdout)
     return 0
 
 
-def cmd_identify(cfg: RunConfig, stdout: TextIO, stderr: TextIO) -> int:
-    sample = read_samples(cfg.sample_path)
-    report = identify(sample, trim=cfg.trim)
-    payload = {
-        "n": report.n,
-        "trim": report.trim,
-        "ranking": [
-            {"family": rc.family, "theorem": rc.theorem.value,
-             "ratio_hat": _jnum(rc.ratio_hat), "score": _jnum(rc.score),
-             "spread": _jnum(rc.spread)}
-            for rc in report.ranking],
-    }
-    if cfg.fmt == "json":
-        text = json.dumps(payload, indent=2)
-    else:
-        lines = ["family,theorem,ratio_hat,score,spread"]
-        lines.extend(
-            ",".join([rc.family, rc.theorem.value, repr(rc.ratio_hat),
-                      repr(rc.score), repr(rc.spread)])
-            for rc in report.ranking)
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg.out, stdout)
+def cmd_identify(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
+    report = identify(read_samples(args.sample_path), trim=args.trim)
+    rows = [{"family": rc.family, "theorem": rc.theorem.value, "ratio_hat": _num(rc.ratio_hat),
+             "score": _num(rc.score), "spread": _num(rc.spread)}
+            for rc in report.ranking]
+    _render({"n": report.n, "trim": report.trim, "ranking": rows}, rows, args, stdout)
     return 0
-
-
-def _jnum(v: float) -> Optional[float]:
-    return v if math.isfinite(v) else None
 
 
 def main(argv: Optional[Sequence[str]] = None,
@@ -235,13 +193,9 @@ def main(argv: Optional[Sequence[str]] = None,
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
         command = {"verify": cmd_verify, "table": cmd_table, "identify": cmd_identify}
-        return command[cfg.command](cfg, stdout, stderr)
-    except (_ConfigError, RevrelError) as exc:
-        stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+        return command[args.command](args, stdout, stderr)
+    except (_ConfigError, RevrelError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
         return 1
 

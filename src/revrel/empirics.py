@@ -75,7 +75,7 @@ def sample_inverse_cdf(model, n: int, seed: int):
         raise ParameterError("sample size must be at least 1")
     rng = np.random.default_rng(seed)
     u = rng.integers(1, 2 ** 53, size=n) / float(2 ** 53)  # open (0,1)
-    return SampleSet(values=np.sort(_apply(model.quantile, u)))
+    return SampleSet(values=_apply(model.quantile, u))  # SampleSet sorts
 
 
 def _apply(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
@@ -133,8 +133,6 @@ DEFAULT_CANDIDATES: Tuple[Tuple[str, TheoremId], ...] = (
     ("finiterange", TheoremId.T3_2),
     ("power", TheoremId.T3_4),
 )
-
-_SUPPORTED = frozenset({TheoremId.T3_1, TheoremId.T3_2, TheoremId.T3_4})
 
 
 def empirical_eit(sample: SampleSet, t: float) -> float:
@@ -208,26 +206,19 @@ def _ratio_by_theorem(stats: Sequence[GapStatistic]) -> dict:
     return {s.theorem: s.ratio_hat for s in stats}
 
 
-def identify(sample: SampleSet,
-             candidates: Sequence[Tuple[str, TheoremId]] = DEFAULT_CANDIDATES,
-             trim: float = 0.05) -> RankingReport:
-    """Rank candidate families by closeness of their plug-in ratio to 1.
+def identify(sample: SampleSet, trim: float = 0.05) -> RankingReport:
+    """Rank the DEFAULT_CANDIDATES families by closeness of their plug-in ratio to 1.
 
     Ties in |ratio_hat - 1| break toward the candidate whose ratio moves
     least when the trim fraction is re-run at 0.02 and 0.10; remaining
-    ties keep input order (stable sort).
+    ties keep DEFAULT_CANDIDATES order (stable sort).
     """
-    for label, theorem in candidates:
-        if theorem not in _SUPPORTED:
-            raise ParameterError(
-                f"candidate {label!r} keyed by {theorem.value}: only "
-                "inactivity-mean product checks can be estimated from data")
     main = _ratio_by_theorem(gap_statistics(sample, trim))
     lo = _ratio_by_theorem(gap_statistics(sample, 0.02))
     hi = _ratio_by_theorem(gap_statistics(sample, 0.10))
 
     ranked = []
-    for label, theorem in candidates:
+    for label, theorem in DEFAULT_CANDIDATES:
         ratio = main[theorem]
         score = abs(ratio - 1.0)
         if math.isnan(score):

@@ -19,17 +19,18 @@ closed forms, which makes them usable as independent cross-checks.
 
 Conventions for the reversed intensity: the support must be bounded
 above (otherwise ``UnboundedSupport``), the value at t >= b is fixed to
-0.0 (the pointwise limit of (b-t)*phi/-log F as F -> 1 is 1, but at b
-itself there is no reversed time left, and downstream tables want a
-defined number), and |log F| < 1e-12 is treated as the t -> b limit.
+0.0 (at b itself there is no reversed time left, and downstream tables
+want a defined number), and |log F| < 1e-12 is treated as the t -> b
+limit.  That limit of (b-t)*phi/-log F is 1 only where phi(b) is finite
+and positive: on ``reflweibull``, whose phi vanishes at b like (b-t)^k,
+the intensity is k + 1 everywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Dict, Optional
 
 from .distributions import DistributionModel, format_family
 from .errors import (
@@ -49,7 +50,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "FunctionalProfile",
     "cdf_from_rhr",
     "eit",
     "functional_profile",
@@ -209,29 +209,17 @@ def raw_moment(model: DistributionModel, r: int) -> float:
     return res.value
 
 
-@dataclass(frozen=True)
-class FunctionalProfile:
-    """One table row: the model evaluated at a single interior point."""
-
-    t: float
-    cdf: float
-    pdf: float
-    rhr: float
-    eit: float
-    rai: Optional[float]
-
-
-def functional_profile(model: DistributionModel, t: float) -> FunctionalProfile:
-    """Every functional at t, rai None on unbounded supports; an overflow is a DomainError."""
+def functional_profile(model: DistributionModel, t: float) -> Dict[str, float]:
+    """One table row: t, cdf, pdf, rhr, eit, and rai where b is finite; an overflow is a DomainError."""
     _require_interior(model, t)
     closures = {"cdf": model.cdf, "pdf": model.pdf,
                 "rhr": partial(rhr, model), "eit": partial(eit, model)}
     if math.isfinite(model.support.upper):
         closures["rai"] = partial(rai, model)
-    values = {}
+    row = {"t": t}
     for name, fn in closures.items():
         try:
-            values[name] = fn(t)
+            row[name] = fn(t)
         except OverflowError:
             raise DomainError(f"{name} overflows at t={t!r}") from None
-    return FunctionalProfile(t=t, rai=values.pop("rai", None), **values)
+    return row

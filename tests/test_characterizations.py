@@ -258,6 +258,26 @@ def test_degenerate_right_hand_side_is_a_domain_mismatch(theorem, moment, text):
     assert r.components == ()
 
 
+@pytest.mark.parametrize("theorem,text,moment", (
+    (TheoremId.T2_8, "type3ev:gamma=1,b=1e200", "b^3 - mu_3 = inf"),
+    (TheoremId.T2_10, "type3ev:gamma=1,b=1e120", "b^4 - mu_4 = inf"),
+))
+def test_right_hand_side_overflow_is_a_domain_mismatch(theorem, text, moment):
+    # b^(k+1) leaves float range and raised OverflowError out of run_check
+    r = _run(theorem, text)
+    assert r.verdict is Verdict.DomainMismatch
+    assert moment in r.note
+    assert r.components == ()
+
+
+def test_divergent_moment_on_the_right_hand_side_is_divergent():
+    # invweibull's mean exists only for delta > 1; the closed form says so
+    r = _run(TheoremId.T4_2, "invweibull:nu=1,delta=0.5")
+    assert r.verdict is Verdict.Divergent
+    assert r.note == "invweibull moment of order 1 diverges (needs r < delta=0.5)"
+    assert r.components == ()
+
+
 # Off-catalog cells that once ended Divergent because a factor weight left
 # float range where the density had already underflowed; each has a closed
 # form.  On power, E[X^r] = c*b^r/(c + r), rhr = c/x and eit = x/(c + 1).

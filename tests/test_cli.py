@@ -7,14 +7,18 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import revrel
+from revrel.characterizations import default_models
 from revrel.cli import main
-from revrel.distributions import model_from_text
+from revrel.distributions import format_family, model_from_text
 from revrel.empirics import sample_inverse_cdf
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(*argv):
@@ -76,6 +80,18 @@ def test_verify_suspect_rows_never_fail_the_run():
     assert row["suspect"] is True
     assert row["claimed_equality"] is True
     assert row["verdict"] == "StrictInequality"   # the claim does not hold
+
+
+@pytest.mark.parametrize("family,theorem,code", (
+    ("type3ev:gamma=1,b=1e200", "T2_8", 2),   # an expected equality that is not met
+    ("type3ev:gamma=1,b=1e120", "T2_10", 0),
+))
+def test_verify_reports_an_overflowing_right_hand_side(family, theorem, code):
+    got, out, err = run_cli("verify", "--family", family, "--theorem", theorem)
+    assert got == code, err
+    (row,) = json.loads(out)
+    assert row["verdict"] == "DomainMismatch"
+    assert "= inf" in row["note"]
 
 
 def test_verify_writes_out_file(tmp_path):
@@ -191,6 +207,18 @@ def test_table_json_format():
     assert set(rows[0]) == {"t", "cdf", "pdf", "rhr", "eit", "rai"}
 
 
+def test_catalog_tables_match_their_golden_file():
+    # every catalog default at the default grid, each table under a
+    # "# family" line, byte for byte
+    parts = []
+    for model in default_models():
+        text = format_family(model.spec)
+        code, out, _ = run_cli("table", "--family", text, "--format", "csv")
+        assert code == 0, text
+        parts.append(f"# {text}\n{out}")
+    assert "".join(parts) == (DATA / "catalog_tables.csv").read_text(encoding="utf-8")
+
+
 def test_table_grid_points_are_probability_spaced():
     code, out, _ = run_cli("table", "--family", "uniform:b=2", "--grid", "9")
     assert code == 0
@@ -219,6 +247,12 @@ def test_identify_csv_format(tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "family,theorem,ratio_hat,score,spread"
     assert lines[1].startswith("type3ev,T3_1,")
+
+
+def test_identify_csv_matches_its_golden_file():
+    code, out, _ = run_cli("identify", str(DATA / "power_sample_400.txt"), "--format", "csv")
+    assert code == 0
+    assert out == (DATA / "power_sample_400_identify.csv").read_text(encoding="utf-8")
 
 
 def test_identify_too_few_points(tmp_path):

@@ -154,12 +154,6 @@ def test_identify_scores_sorted_ascending():
     assert len(scores) == len(DEFAULT_CANDIDATES)
 
 
-def test_identify_rejects_unsupported_candidates():
-    s = SampleSet(values=np.linspace(1.0, 2.0, 100))
-    with pytest.raises(ParameterError):
-        identify(s, candidates=(("power", TheoremId.T2_1),))
-
-
 # ---------------------------------------------------------------------------
 # file input
 
