@@ -456,6 +456,17 @@ def test_claimed_equality_extends_expected_for_suspects():
     assert not claimed_equality_pair(t3_7, model_from_text("power:b=1,c=2"))
 
 
+def test_t3_7_ratio_falls_toward_one_as_the_law_concentrates_at_b():
+    # the suspect claim holds only in the degenerate limit: as gamma grows the
+    # law concentrates at b, w*eit flattens and the ratio falls to 1 from above
+    check = make_check(TheoremId.T3_7)
+    ratios = [run_check(check, model_from_text(
+        f"basealinkedeit:gamma={gamma},delta=0.5,a_base=2,b=0")).ratio
+        for gamma in (2.0, 64.0, 256.0)]
+    assert ratios == pytest.approx([1.0954441, 1.0001149, 1.0000073], abs=5e-8)
+    assert ratios[0] > ratios[1] > ratios[2] >= 1.0
+
+
 def test_equality_family_constructions():
     m = equality_family(TheoremId.T2_4, k=3, theta=2.0)
     assert m.spec.family == "invweibull"

@@ -197,6 +197,18 @@ def test_table_basealinkedeit_past_the_series_overflow():
     assert len(rows) == 16 and all(math.isfinite(v) for row in rows for v in row)
 
 
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_table_rejects_an_overflowed_grid_point(fmt):
+    # the quantile overflows to inf at every grid point; each row printed
+    # inf,1.0,0.0,0.0,inf (bare Infinity in JSON) and the run exited 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run_cli("table", "--family", "invweibull:nu=1e300,delta=0.01",
+                                 "--format", fmt)
+    assert (code, out) == (1, "")
+    assert "error: t=inf outside support" in err
+
+
 def test_table_json_format():
     code, out, _ = run_cli("table", "--family", "uniform:b=1", "--grid", "8",
                            "--format", "json")

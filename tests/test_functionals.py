@@ -7,6 +7,7 @@ must reproduce the cdf by exponentiated integration, and the reversed
 aging intensity must be identical under its two algebraic forms.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revrel.distributions import cdf_at, model_from_text, quantile_at
-from revrel.errors import SupportError, UnboundedSupport
+from revrel.errors import DomainError, SupportError, UnboundedSupport
 from revrel.functionals import (
     cdf_from_rhr,
     eit,
@@ -123,6 +124,57 @@ def test_rate_times_inactivity_identity(text):
     assert worst <= 1e-4
 
 
+def _catalog_identity_residuals():
+    """(cdf calls, worst |residual|) over the catalog at five quantiles."""
+    calls = [0]
+    worst = 0.0
+    for text in ALL_TEXTS:
+        model = model_from_text(text)
+
+        def counted(x, cdf=model.cdf):
+            calls[0] += 1
+            return cdf(x)
+
+        counting = dataclasses.replace(model, cdf=counted)
+        for p in (0.05, 0.25, 0.5, 0.75, 0.95):
+            t = quantile_at(model, p)
+            worst = max(worst, abs(rhr_eit_identity_residual(counting, t)))
+    return calls[0], worst
+
+
+def test_identity_residual_integrates_up_to_t_once():
+    # (lo, t) is integrated once and the neighbours add slabs of width h;
+    # three separate integrals up to t, t + h and t - h made 53,809 calls
+    calls, _ = _catalog_identity_residuals()
+    assert calls <= 28_000
+
+
+def test_identity_residual_cancels_the_error_of_the_shared_integral():
+    # m(t + h) and m(t - h) share the integral up to t, so its error drops
+    # out of the central difference (3.3e-10 with three separate integrals)
+    _, worst = _catalog_identity_residuals()
+    assert worst <= 2e-10
+
+
+@pytest.mark.parametrize("text, t", (
+    ("power:b=1,c=2", 5e-7),   # t - h lies below the lower endpoint 0
+    ("power:b=1,c=2", 1.0),    # at b no step h > 0 keeps t + h inside
+    ("power:b=1,c=2", 2.0),    # t + h and t itself lie beyond b
+))
+def test_identity_residual_outside_the_support_is_a_support_error(text, t):
+    with pytest.raises(SupportError):
+        rhr_eit_identity_residual(model_from_text(text), t)
+
+
+def test_identity_residual_where_the_cdf_underflows_is_a_domain_error():
+    model = model_from_text("type3ev:gamma=2,b=0")
+    t = -372.56642326766575
+    h = 1e-6 * abs(t)
+    assert model.cdf(t) > 0.0 and model.cdf(t - h) == 0.0
+    with pytest.raises(DomainError, match="underflows"):
+        rhr_eit_identity_residual(model, t)
+
+
 # ---------------------------------------------------------------------------
 # reconstruction: cdf(t) = exp(-integral of rhr from t to the upper endpoint)
 
@@ -136,6 +188,16 @@ def test_cdf_reconstruction_from_rhr(text):
 def test_cdf_reconstruction_example():
     m = model_from_text("type3ev:gamma=2,b=0")
     assert cdf_from_rhr(m, -1.0) == pytest.approx(math.exp(-2.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("text", ("type3ev:gamma=2,b=1", "power:b=1,c=2"))
+def test_rhr_integral_next_to_the_upper_endpoint(text):
+    # integrated over x in (t, b) the nodes rounded onto b and each call
+    # ended MaxDepth after 400k evaluations; in d = b - x they converge
+    model = model_from_text(text)
+    t = 1.0 - 1e-6
+    assert cdf_from_rhr(model, t) == pytest.approx(model.cdf(t), rel=1e-14)
+    assert rai_integral_form(model, t) == pytest.approx(rai(model, t), rel=1e-14)
 
 
 def test_cdf_reconstruction_needs_finite_upper_endpoint():
