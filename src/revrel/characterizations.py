@@ -22,12 +22,14 @@ single orientation ratio >= 1; the ratio form is therefore what gets
 classified and what the direction invariant quantifies over.
 
 Each check also knows its claimed equality family.  Four of the twenty
-(T3_2, T3_3, T3_6, T3_7) carry a ``suspect`` flag: recomputing the
-inactivity mean from their stated equality cdf does not reproduce the
-proportionality the equality argument needs, and for three of them the
-product integrals demonstrably diverge on that very family.  Suspect
-checks still run and report measured behavior, but no equality is ever
-asserted for them.
+(T3_2, T3_3, T3_6, T3_7) carry a ``suspect`` flag: equality in their
+reciprocal product needs w*eit to be constant, and no stated family has
+that.  On X >= 0 (T3_2, T3_3) it means eit = c/x**k, unbounded at 0+, while
+eit(t) <= t.  explinkedeit's eit is (1 - e**-u)/u with u = theta*e**x, so
+e**x*eit = (1 - e**-u)/theta (T3_6), and T3_7's family misses the same way
+at base a.  For the first three the product integrals diverge on that very
+family.  Suspect checks still run and report measured behavior, but no
+equality is ever asserted for them.
 
 The ``Violation`` verdict (converged ratio below 1 beyond tolerance)
 keeps the impossible case visible.  It is reachable: the odd-power

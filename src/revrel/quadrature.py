@@ -36,6 +36,16 @@ x = lo + q*(hi - lo) and x = anchor +/- u/(1-u) (see _nodes). Only the split
 rule differs: a finite interval is halved, a half line peels off a finite
 chunk next to its anchor. ``expectation`` integrates in log space. Sampling
 lives in ``empirics``.
+
+A pass evaluates only where the integrand is alive. Levels 0 to 3 (97
+nodes, the fewest a pass converges on) run in full. Each later level
+evaluates only the nodes up to the first node of the coarser grid beyond
+the live range: the t-range of the nodes so far whose |g| exceeds 2**-100
+of the running integral of |f|. The floor is relative, so scaling f by
+2**-n keeps the live range, and it lies far below rounding, so a skipped
+term cannot move a sum. A pass with no live node skips nothing. This has a
+blind spot: a non-finite value or an isolated bump past the live range is
+never evaluated, so it neither ends the pass nor adds to it.
 """
 
 from __future__ import annotations
@@ -99,6 +109,8 @@ _MAX_DEPTH = 50
 # nodes can overrun it by at most one level-3 sweep (97 nodes) per pending split.
 _EVAL_BUDGET = 400_000
 _PROBE_NODES = 8
+# A node is live when its |g| exceeds this fraction of the running sum of |g|.
+_LIVE_FLOOR = 2.0 ** -100
 
 
 def _nodes(t):
@@ -231,7 +243,11 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
     """One tanh-sinh sweep over the nodes of one map that fall inside (lo, hi).
 
     Sums scale by h and then by length (1 on a half line); the target is rel_tol
-    times the integral of |f|, sum(g) - 2*sum(g < 0).  Status MaxDepth means the
+    times the integral of |f|, sum(g) - 2*sum(g < 0).  The live range is the
+    t-range of the nodes whose |g| exceeds _LIVE_FLOOR times that sum; it grows
+    after each level from the nodes that fell outside it.  Past level
+    _MIN_LEVEL, level k + 1 evaluates only nodes within 2**-k of it, so a
+    non-finite value or a bump beyond it goes unseen.  Status MaxDepth means the
     sweep settled nothing: a non-finite value inside a finite interval, or the
     level cap or the evaluation budget reached.
     """
@@ -248,6 +264,8 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
     tail_abs_sum = 0.0
     tail_start = _T_MAX - _TAIL_WINDOW
     isfinite = math.isfinite  # a local: the node loop runs once per evaluation
+    live_lo, live_hi = math.inf, -math.inf  # the live range, empty until a node carries mass
+    reach_lo, reach_hi = -math.inf, math.inf  # the t-range the next level evaluates
 
     for k in range(levels_cap + 1):
         if k == len(nodes):
@@ -255,7 +273,10 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
         h = 0.5 ** k
         new_wf = 0.0
         new_neg = 0.0
+        outside = []  # (t, |g|) of this level's nodes that fell outside the live range
         for (t, frame, q, w, om) in nodes[k]:
+            if t < reach_lo or t > reach_hi:
+                continue  # past the first grid node beyond the live range
             base, step = frames[frame]
             x = base + step * q
             if x <= lo or x >= hi:
@@ -283,6 +304,8 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
             new_wf += g
             if g < 0.0:
                 new_neg += g
+            if t < live_lo or t > live_hi:
+                outside.append((t, abs(g)))
             if abs(t) >= tail_start and g != 0.0:
                 side = -1 if t < 0.0 else 1
                 tail[side].append((abs(t), math.log(abs(g))))
@@ -292,8 +315,15 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
                                   QuadStatus.MaxDepth, evaluations)
         total_wf += new_wf
         total_neg += new_neg
+        abs_sum = total_wf - 2.0 * total_neg
+        floor = _LIVE_FLOOR * abs_sum
+        for t, a in outside:
+            if a > floor:
+                live_lo, live_hi = min(live_lo, t), max(live_hi, t)
+        if k >= _MIN_LEVEL and live_lo <= live_hi:
+            reach_lo, reach_hi = live_lo - h, live_hi + h
         s_cur = total_wf * h * length
-        target = tol.rel_tol * ((total_wf - 2.0 * total_neg) * h * length)
+        target = tol.rel_tol * (abs_sum * h * length)
         tail_mass = tail_abs_sum * h * length
 
         if not math.isnan(s_prev):

@@ -24,6 +24,7 @@ from revrel.quadrature import (
     integrate_lower_unbounded,
     integrate_upper_unbounded,
 )
+from revrel.characterizations import TheoremId, Verdict, make_check, run_check
 from revrel.distributions import model_from_text
 from revrel.empirics import mc_expectation, sample_inverse_cdf
 
@@ -364,6 +365,37 @@ def test_evaluation_budget_exhaustion_ends_maxdepth(monkeypatch):
         assert res.status is QuadStatus.MaxDepth
         assert budget + 1 < res.evaluations <= budget + SWEEP_TO_MIN_LEVEL + 1
     assert finite.evaluations == 1 + 74 + 1
+
+
+# ------------------------------------------------------------ live range
+
+@pytest.mark.parametrize("integrate,value,evaluations", (
+    (lambda: integrate_lower_unbounded(math.exp, 0.0), 1.0000000000000002, 216),
+    (lambda: expectation(ExpectationSpec(model_from_text("type3ev:gamma=2,b=0"),
+                                         lambda x: 1.0)), 1.0, 214),
+), ids=("exp on (-inf, 0]", "E[1] on type3ev"))
+def test_nodes_past_the_live_range_are_skipped_without_moving_the_result(
+        integrate, value, evaluations):
+    # past level 3 a sweep evaluates only up to the first grid node beyond the
+    # nodes that carry mass; evaluating every node took 385 for the same bits
+    res = integrate()
+    assert res.status is QuadStatus.Converged
+    assert res.value == value
+    assert res.evaluations == evaluations
+
+
+def test_non_finite_node_past_the_live_range_is_not_seen():
+    # alpha + beta*x rounds to 0 at a level-4 node next to the lower end, and
+    # the log density raises there. That node lies past the live range, so
+    # component 0 converges in one full-minimum sweep instead of splitting
+    # (204 evaluations), and its value moves by 1 ulp
+    model = model_from_text("linearmit:xi=0.209,alpha=0.674,beta=1.367,b=1.455")
+    report = run_check(make_check(TheoremId.T2_6), model)
+    lhs = report.components[0]
+    assert lhs.status is QuadStatus.Converged
+    assert lhs.evaluations == SWEEP_TO_MIN_LEVEL
+    assert lhs.value == pytest.approx(0.2826468280854914, rel=5e-16)
+    assert report.verdict is Verdict.StrictInequality
 
 
 # ----------------------------------------------------------- expectation
