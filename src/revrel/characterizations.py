@@ -60,10 +60,12 @@ from .functionals import rai, raw_moment
 from .quadrature import (
     DEFAULT_TOL,
     ExpectationSpec,
+    LogWeight,
     QuadResult,
     QuadStatus,
     Tolerances,
     expectation,
+    positive,
 )
 
 __all__ = [
@@ -191,13 +193,12 @@ def _log_functional(model: DistributionModel, name: str) -> Callable[[float], fl
 # An x-weight shape maps a check to (log|w|, sign of w); every factor of a
 # check shares that sign.
 
-_plus = lambda x: 1.0
 _sign_x = lambda x: 1.0 if x > 0.0 else -1.0
 
 
 def _power(p: int):
     # exact for p = 1 and p = -1: 1*y and -1*y are y and -y
-    return (lambda x, log=math.log: p * log(abs(x))), (_plus if p % 2 == 0 else _sign_x)
+    return (lambda x, log=math.log: p * log(abs(x))), (positive if p % 2 == 0 else _sign_x)
 
 
 def _reciprocal_linear(c: CheckSpec):
@@ -206,12 +207,12 @@ def _reciprocal_linear(c: CheckSpec):
            (lambda x: 1.0 if a + bt * x > 0.0 else -1.0)
 
 
-_UNIT = lambda c: ((lambda x: 0.0), _plus)
+_UNIT = lambda c: ((lambda x: 0.0), positive)
 _X = lambda c: _power(1)
 _X_TO_K = lambda c: _power(c.k)
 _X_TO_MINUS_K = lambda c: _power(-c.k)
-_EXP_X = lambda c: ((lambda x: x), _plus)
-_BASE_TO_X = lambda c: ((lambda x, lb=math.log(c.base): x * lb), _plus)
+_EXP_X = lambda c: ((lambda x: x), positive)
+_BASE_TO_X = lambda c: ((lambda x, lb=math.log(c.base): x * lb), positive)
 
 
 def _integer_k(minimum: int, odd: bool = False):
@@ -498,16 +499,25 @@ def claimed_equality_pair(check: CheckSpec, model: DistributionModel) -> bool:
 
 # --------------------------------------------------------- check runner
 
-def _factors(check: CheckSpec, model: DistributionModel) -> Tuple[Callable[[float], float], ...]:
-    """The check's factor weights as x -> log|w(x)|; their sign is the row's."""
+def _factors(check: CheckSpec, model: DistributionModel) -> Tuple[LogWeight, ...]:
+    """The check's factor weights as x -> log|w(x)|; their sign is the row's.
+
+    Each reads the row's functional (and rhr, in a mixed product) from the
+    model's column table, so every check on the model shares one
+    evaluation of log_pdf and of each log functional per abscissa.
+    """
     row = _row(check.id)
-    lw, lg = row.weight(check)[0], _log_functional(model, row.functional)
-    if check.kind == _KIND_PRODUCT:
-        return (lambda x: -lw(x) - lg(x), lambda x: lw(x) + lg(x))
-    if check.kind == _KIND_MOMENT:
-        return (lambda x: lw(x) + lg(x),)
-    lphi = _log_functional(model, "rhr")  # mixed products: the row's functional over rhr
-    return (lambda x: lw(x) + lg(x) - lphi(x), lambda x: lw(x) + lphi(x) - lg(x))
+    lw = row.weight(check)[0]
+    g = ((row.functional, _log_functional(model, row.functional)),)
+    if check.kind == _KIND_PRODUCT or check.kind == _KIND_MOMENT:
+        plus = LogWeight(model, g, lambda x, lg, _: lw(x) + lg)
+        if check.kind == _KIND_MOMENT:
+            return (plus,)
+        return (LogWeight(model, g, lambda x, lg, _: -lw(x) - lg), plus)
+    # mixed products: the row's functional over rhr
+    g_phi = g + (("rhr", _log_functional(model, "rhr")),)
+    return (LogWeight(model, g_phi, lambda x, lg, lphi: lw(x) + lg - lphi),
+            LogWeight(model, g_phi, lambda x, lg, lphi: lw(x) + lphi - lg))
 
 
 def _rhs(check: CheckSpec, model: DistributionModel) -> float:

@@ -37,6 +37,14 @@ rule differs: a finite interval is halved, a half line peels off a finite
 chunk next to its anchor. ``expectation`` integrates in log space. Sampling
 lives in ``empirics``.
 
+For a ``LogWeight``, ``expectation`` reads log_pdf and the log functionals
+the weight needs from the model's ``ColumnTable``: one dict read per node,
+each value computed at the first read of its abscissa by any check on the
+model and then kept. A plain callable weight, wrapped or not, is called at
+each node instead; a ``LogWeight`` called that way reads the same table,
+so both paths give the same bits. A pass maps a raise in its integrand
+itself, in its node loop, and a raise is never kept in a table.
+
 A pass evaluates only where the integrand is alive. Levels 0 to 3 (97
 nodes, the fewest a pass converges on) run in full. Each later level
 evaluates only the nodes up to the first node of the coarser grid beyond
@@ -51,6 +59,7 @@ never evaluated, so it neither ends the pass nor adds to it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -87,11 +96,86 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class ExpectationSpec:
-    """E[w(X)] against a model: weight is w, or log|w| when sign (x -> +/-1.0) is given."""
+    """E[w(X)] against a model: weight is w, or log|w| when sign (x -> +/-1.0) is given.
+
+    A sign of ``positive`` marks a weight positive everywhere, and a weight
+    that is a ``LogWeight`` reads log_pdf and its log functionals from the
+    model's column table.
+    """
 
     model: object
     weight: Callable[[float], float]
     sign: Optional[Callable[[float], float]] = None
+
+
+def positive(x: float) -> float:
+    """The sign of a weight positive everywhere; expectation skips multiplying by it."""
+    return 1.0
+
+
+# The log functionals a column table holds, by column; column 0 is log_pdf
+_COLUMN_SLOTS = {"rhr": 1, "eit": 2, "rai": 3}
+
+
+class ColumnTable(dict):
+    """A model's column table: abscissa x -> row number k.
+
+    Row k's values sit in ``columns``, one list per column: columns[0][k] is
+    log_pdf(x), and columns[1], [2] and [3] hold log rhr, log eit and log rai
+    at x, each None until a ``LogWeight`` first needs it there. A row is no
+    object of its own, so the table holds no container per abscissa for the
+    garbage collector to walk.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self):
+        super().__init__()
+        self.columns = ([], [], [], [])
+
+    def add(self, x: float, lp: float) -> int:
+        """A new row at x with log_pdf lp and no log functional yet; its number."""
+        log_pdfs, rhr, eit, rai = self.columns
+        k = self[x] = len(log_pdfs)
+        log_pdfs.append(lp)
+        rhr.append(None)
+        eit.append(None)
+        rai.append(None)
+        return k
+
+
+class LogWeight:
+    """x -> log|w(x)| = log_w(x, a, b), where a and b are log functionals of the model.
+
+    columns gives one or two (name, x -> log functional) pairs; a and b are
+    their values, and a is b for one. They come from the model's
+    ``ColumnTable``, which every weight on the model shares, so each
+    closure runs once per abscissa: log_pdf when the row is made, a log
+    functional when a weight first needs it where log_pdf is finite. A
+    raise stores nothing. ``expectation`` reads the table inline; a call
+    reads it the same way, so both give the same bits.
+    """
+
+    __slots__ = ("table", "log_pdf", "a", "col_a", "b", "col_b", "log_w")
+
+    def __init__(self, model, columns, log_w: Callable[[float, float, float], float]):
+        self.table, self.log_pdf = model._columns, model.log_pdf
+        (name_a, self.col_a), (name_b, self.col_b) = columns[0], columns[-1]
+        self.a = self.table.columns[_COLUMN_SLOTS[name_a]]
+        self.b = self.table.columns[_COLUMN_SLOTS[name_b]]
+        self.log_w = log_w
+
+    def __call__(self, x: float) -> float:
+        k = self.table.get(x)
+        if k is None:
+            k = self.table.add(x, self.log_pdf(x))
+        a = self.a[k]
+        if a is None:
+            a = self.a[k] = self.col_a(x)
+        b = self.b[k]
+        if b is None:
+            b = self.b[k] = self.col_b(x)
+        return self.log_w(x, a, b)
 
 
 # Node horizon. At |t| = 6 the endpoint distance sigma*sigmac is ~8.6e-276,
@@ -111,6 +195,10 @@ _EVAL_BUDGET = 400_000
 _PROBE_NODES = 8
 # A node is live when its |g| exceeds this fraction of the running sum of |g|.
 _LIVE_FLOOR = 2.0 ** -100
+# Levels from here on hold 5,376 of a map's 6,145 nodes, and few sweeps reach
+# them, so they are kept as arrays of doubles: a quarter of the memory of
+# tuples of floats, for a slower walk over them.
+_ARRAY_LEVEL = 7
 
 
 def _nodes(t):
@@ -142,7 +230,8 @@ def _level(k):
     """Level k's node tables (t, frame, q, w, om) of the finite and half-line maps.
 
     Level 0 holds the integers t in [-_T_MAX, _T_MAX]; level k > 0 the odd
-    multiples of 2**-k there, in the order +h, -h, +3h, -3h, ...
+    multiples of 2**-k there, in the order +h, -h, +3h, -3h, ...  From
+    _ARRAY_LEVEL on a table is stored as five arrays (``_as_arrays``).
     """
     h = 0.5 ** k
     ts = []
@@ -161,19 +250,27 @@ def _level(k):
         if pair is not None:
             finite.append((t,) + pair[0])
             half_line.append((t,) + pair[1])
-    return tuple(finite), tuple(half_line)
+    if k < _ARRAY_LEVEL:
+        return tuple(finite), tuple(half_line)
+    return _as_arrays(finite), _as_arrays(half_line)
 
 
-# Node tables by level, appended by _pass the first time a sweep reaches a
-# level: a process whose sweeps all converge by level 6 builds 769 of the
-# 6,145 nodes per map, and one that never integrates builds none.
+def _as_arrays(nodes):
+    """A level's nodes as the arrays t, frame, q, w, om; zip(*arrays) gives them back."""
+    return tuple(array(code, column) for code, column in zip("dbddd", zip(*nodes)))
+
+
+# Node tables by level, one list per map, appended by _pass the first time a
+# sweep on that map reaches a level: a process whose sweeps all converge by
+# level 6 builds 769 of a map's 6,145 nodes, and one that never integrates
+# builds none. The default battery takes finite sweeps to level 9 and half
+# lines only to level 7.
 _FINITE_NODES, _HALF_LINE_NODES = [], []
 
 
-def _add_level():
-    finite, half_line = _level(len(_FINITE_NODES))
-    _FINITE_NODES.append(finite)
-    _HALF_LINE_NODES.append(half_line)
+def _add_level(nodes):
+    """Append the next level to nodes, the table of one map."""
+    nodes.append(_level(len(nodes))[nodes is _HALF_LINE_NODES])
 
 
 def _safe_eval(f, x):
@@ -247,9 +344,10 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
     t-range of the nodes whose |g| exceeds _LIVE_FLOOR times that sum; it grows
     after each level from the nodes that fell outside it.  Past level
     _MIN_LEVEL, level k + 1 evaluates only nodes within 2**-k of it, so a
-    non-finite value or a bump beyond it goes unseen.  Status MaxDepth means the
-    sweep settled nothing: a non-finite value inside a finite interval, or the
-    level cap or the evaluation budget reached.
+    non-finite value or a bump beyond it goes unseen.  A raise in f reads as
+    inf (OverflowError, ZeroDivisionError) or NaN (ValueError).  Status
+    MaxDepth means the sweep settled nothing: a non-finite value inside a
+    finite interval, or the level cap or the evaluation budget reached.
     """
     levels_cap = _ROOT_LEVELS if depth == 0 else _CHILD_LEVELS
     half_line = math.isinf(hi - lo)
@@ -269,19 +367,28 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
 
     for k in range(levels_cap + 1):
         if k == len(nodes):
-            _add_level()
+            _add_level(nodes)
         h = 0.5 ** k
         new_wf = 0.0
         new_neg = 0.0
         outside = []  # (t, |g|) of this level's nodes that fell outside the live range
-        for (t, frame, q, w, om) in nodes[k]:
+        level = nodes[k] if k < _ARRAY_LEVEL else zip(*nodes[k])
+        reach_abs = max(reach_hi, -reach_lo)
+        for (t, frame, q, w, om) in level:
             if t < reach_lo or t > reach_hi:
+                if abs(t) > reach_abs:
+                    break  # a level past 0 runs outward in |t|: every node left lies beyond
                 continue  # past the first grid node beyond the live range
             base, step = frames[frame]
             x = base + step * q
             if x <= lo or x >= hi:
                 continue  # node rounded onto an endpoint, open rule skips it
-            fx = _safe_eval(f, x)
+            try:
+                fx = float(f(x))
+            except (OverflowError, ZeroDivisionError):
+                fx = math.inf
+            except ValueError:
+                fx = math.nan
             evaluations += 1
             budget[0] -= 1
             if fx == 0.0:
@@ -437,23 +544,56 @@ def expectation(spec: ExpectationSpec, tol: Optional[Tolerances] = None) -> Quad
     The one integrand factor(x)*exp(log_pdf(x) + log_w(x)) exponentiates
     once, so a density below float range keeps its finite product with a
     weight above it.  It is 0 without the weight where log_pdf is -inf, and
-    without the factor (a plain w) where the product underflows.
+    without the factor where the product underflows or the sign is
+    ``positive``.  A ``LogWeight`` takes log_pdf(x) and its log functionals
+    from the model's column table, one dict read per node.
     """
     model = spec.model
-    log_pdf = model.log_pdf
     if spec.sign is None:
         log_w, factor = _NO_LOG_WEIGHT, spec.weight
     else:
         log_w, factor = spec.weight, spec.sign
+    signed = factor is not positive
     lo = model.support.lower
     hi = model.support.upper
 
-    def integrand(x, exp=math.exp, no_mass=-math.inf):
-        lp = log_pdf(x)
-        if lp == no_mass:
-            return 0.0
-        m = exp(lp + log_w(x))
-        return factor(x) * m if m != 0.0 else 0.0
+    if isinstance(log_w, LogWeight):
+        weight = log_w
+        table, log_pdf, log_w = weight.table, weight.log_pdf, weight.log_w
+        a_col, col_a, b_col, col_b = weight.a, weight.col_a, weight.b, weight.col_b
+        get = table.get
+        log_pdfs, rhr, eit, rai = table.columns
+
+        def integrand(x, exp=math.exp, no_mass=-math.inf):
+            k = get(x)
+            if k is None:  # ColumnTable.add, inline: most first reads are in one-off models
+                lp = log_pdf(x)
+                k = table[x] = len(log_pdfs)
+                log_pdfs.append(lp)
+                rhr.append(None)
+                eit.append(None)
+                rai.append(None)
+            else:
+                lp = log_pdfs[k]
+            if lp == no_mass:
+                return 0.0
+            a = a_col[k]
+            if a is None:
+                a = a_col[k] = col_a(x)
+            b = b_col[k]
+            if b is None:
+                b = b_col[k] = col_b(x)
+            m = exp(lp + log_w(x, a, b))
+            return factor(x) * m if signed and m != 0.0 else m
+    else:
+        log_pdf = model.log_pdf
+
+        def integrand(x, exp=math.exp, no_mass=-math.inf):
+            lp = log_pdf(x)
+            if lp == no_mass:
+                return 0.0
+            m = exp(lp + log_w(x))
+            return factor(x) * m if signed and m != 0.0 else m
 
     if math.isinf(lo) and math.isinf(hi):
         raise ParameterError("doubly unbounded supports are not used here")

@@ -7,6 +7,7 @@ integrand), and then frozen. Any engine change that flips a cell fails
 loudly here.
 """
 
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ import scipy.special as sc
 
 from revrel.characterizations import (
     CheckReport,
+    CheckSpec,
     SupportRequirement,
     TheoremId,
     Verdict,
@@ -432,6 +434,106 @@ def test_run_matrix_accepts_subsets():
     assert [(r.theorem.value, r.family.family) for r in reports] == [
         ("T2_1", "power"), ("T2_1", "uniform"),
         ("T3_1", "power"), ("T3_1", "uniform")]
+
+
+# ---------------------------------------------------------------------------
+# the column table: every check on a model reads log_pdf and its log
+# functionals once per abscissa
+
+_LHS_CLOSURES = ("rhr", "eit", "rai", "log_rhr", "log_eit", "log_cdf")
+
+
+def _counted(models, names):
+    """The models re-packed with each closure in names counting its calls in calls[name]."""
+    calls = dict.fromkeys(names, 0)
+
+    def counter(name, fn):
+        def wrapped(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapped
+
+    return [dataclasses.replace(m, **{n: counter(n, getattr(m, n)) for n in names
+                                      if getattr(m, n) is not None})
+            for m in models], calls
+
+
+def _rows(model):
+    return len(model._columns)  # abscissae with a row
+
+
+def test_matrix_reads_log_pdf_once_per_abscissa():
+    # 66,980 log_pdf calls when each integrand called it at each node; 14,390
+    # now: one per abscissa of each model, and the right-hand sides' moments
+    models, calls = _counted(default_models(), ("log_pdf",))
+    run_matrix(models)
+    assert calls["log_pdf"] <= 15_000
+    assert calls["log_pdf"] - sum(_rows(m) for m in models) <= 8_700
+
+
+@dataclasses.dataclass(frozen=True)
+class _WrappedCheck(CheckSpec):
+    """A check whose weights are plain callables, as a tracer wraps them."""
+
+    def lhs_weights(self, model):
+        return tuple((lambda x, w=w: w(x)) for w in super().lhs_weights(model))
+
+
+def test_wrapped_weights_take_the_plain_path_to_the_same_records():
+    wrapped = [_WrappedCheck(**{f.name: getattr(c, f.name) for f in dataclasses.fields(c)})
+               for c in theorem_catalog()]
+    assert report_records(run_matrix(default_models(), wrapped)) == \
+        report_records(run_matrix(default_models()))
+
+
+def test_a_second_matrix_on_the_same_models_reads_only_its_tables():
+    models, calls = _counted(default_models(), ("log_pdf",) + _LHS_CLOSURES)
+    first = report_records(run_matrix(models))
+    rows = sum(_rows(m) for m in models)
+    before = dict(calls)
+    second = report_records(run_matrix(models))
+    assert second == first
+    assert sum(_rows(m) for m in models) == rows
+    # the right-hand sides integrate moments with plain weights, which read
+    # log_pdf at each node; every left-hand read is a table hit
+    assert all(calls[n] == before[n] for n in _LHS_CLOSURES)
+    assert calls["log_pdf"] - before["log_pdf"] == before["log_pdf"] - rows
+
+
+def test_replace_starts_an_empty_column_table():
+    model = model_from_text("power:b=1,c=2")
+    run_check(make_check(TheoremId.T2_1), model)
+    assert _rows(model) > 0
+    assert _rows(dataclasses.replace(model)) == 0
+
+
+@pytest.mark.parametrize("exc,statuses,verdict", (
+    # inf on the half line: each component ends Divergent at its first node
+    (ZeroDivisionError, ("Divergent", "Divergent"), Verdict.Divergent),
+    # NaN: the root pass gives up, and its split steps around the node
+    (ValueError, ("Converged", "Converged"), Verdict.Equality),
+))
+def test_a_raising_column_is_computed_again_at_each_read(exc, statuses, verdict):
+    base = model_from_text("type3ev:gamma=2,b=0")
+    raised = []
+
+    def log_rhr(x):
+        if x == -1.0:  # the first node on the half line below b = 0
+            raised.append(x)
+            raise exc("at x = -1")
+        return base.log_rhr(x)
+
+    model = dataclasses.replace(base, log_rhr=log_rhr)
+    check = make_check(TheoremId.T2_1)
+    first = run_check(check, model)
+    assert len(raised) == 2  # once for each component: no row was kept
+    second = run_check(check, model)
+    assert len(raised) == 4
+    assert tuple(c.status.value for c in first.components) == statuses
+    assert first.verdict is verdict
+    assert report_records([second]) == report_records([first])
+    if exc is ZeroDivisionError:
+        assert [c.evaluations for c in first.components] == [1, 1]
 
 
 # ---------------------------------------------------------------------------

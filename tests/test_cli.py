@@ -104,6 +104,15 @@ def test_verify_writes_out_file(tmp_path):
     assert row["verdict"] == "Divergent"
 
 
+
+def test_default_verify_matches_its_golden_file(tmp_path):
+    # the whole 220-cell report, byte for byte: a change that moves any
+    # verdict, ratio or error estimate by one bit shows here
+    target = tmp_path / "verify.json"
+    code, _, _ = run_cli("verify", "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == (DATA / "verify_default.json").read_bytes()
+
 # ---------------------------------------------------------------------------
 # config errors
 

@@ -560,6 +560,25 @@ def test_linearmit_rai_tends_to_one_at_b(text, gap):
 
 
 
+def test_linearmit_gives_its_lower_end_limit_where_v_rounds_to_zero():
+    # -alpha/beta rounds below the root of v = alpha + beta*x, so at the float
+    # above the lower end v is 0.0: the logs raised ValueError and rhr
+    # ZeroDivisionError. The quantile at a tiny p returns this very x
+    model = model_from_text("linearmit:xi=0.209,alpha=0.674,beta=1.367,b=1.455")
+    x = -0.493050475493782
+    assert x == math.nextafter(model.support.lower, 0.0)
+    assert 0.674 + 1.367 * x == 0.0
+    assert quantile_at(model, 1e-300) == x
+    assert (model.cdf(x), model.log_cdf(x)) == (0.0, -math.inf)
+    assert (model.pdf(x), model.log_pdf(x)) == (0.0, -math.inf)
+    assert (model.rhr(x), model.rai(x), model.eit(x)) == (math.inf, math.inf, 0.0)
+    # one float up, the closures are finite again
+    y = math.nextafter(x, 0.0)
+    assert 0.0 < model.cdf(y) and math.isfinite(model.log_pdf(y))
+    assert math.isfinite(model.rhr(y)) and math.isfinite(model.rai(y))
+
+
+
 # ---------------------------------------------------------------------------
 # quantiles next to a finite lower endpoint
 

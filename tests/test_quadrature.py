@@ -299,13 +299,21 @@ LEVEL_SIZES = (13, 12, 24, 48, 96, 192, 384, 768, 1536, 3072)
 
 def _all_levels():
     """The per-level tables of both maps, every level up to the root cap built."""
-    while len(quadrature._FINITE_NODES) <= quadrature._ROOT_LEVELS:
-        quadrature._add_level()
+    for nodes in (quadrature._FINITE_NODES, quadrature._HALF_LINE_NODES):
+        while len(nodes) <= quadrature._ROOT_LEVELS:
+            quadrature._add_level(nodes)
     return quadrature._FINITE_NODES, quadrature._HALF_LINE_NODES
+
+
+def _entries(level, k):
+    """A level's nodes as (t, frame, q, w, om) tuples, in either storage."""
+    return level if k < quadrature._ARRAY_LEVEL else list(zip(*level))
 
 
 def test_node_tables_per_level():
     finite, half_line = _all_levels()
+    finite = [_entries(level, k) for k, level in enumerate(finite)]
+    half_line = [_entries(level, k) for k, level in enumerate(half_line)]
     assert tuple(map(len, finite)) == LEVEL_SIZES
     assert tuple(map(len, half_line)) == LEVEL_SIZES
     assert sum(LEVEL_SIZES) == 6145
@@ -396,6 +404,56 @@ def test_non_finite_node_past_the_live_range_is_not_seen():
     assert lhs.evaluations == SWEEP_TO_MIN_LEVEL
     assert lhs.value == pytest.approx(0.2826468280854914, rel=5e-16)
     assert report.verdict is Verdict.StrictInequality
+
+
+# ------------------------------------------------------ raising integrand
+
+def _root_pass(f, half_line):
+    """The depth-0 sweep over (0, 1), or over (0, inf) on the half-line map."""
+    if half_line:
+        nodes, frames, hi = quadrature._HALF_LINE_NODES, ((0.0, 1.0),), math.inf
+    else:
+        nodes, frames, hi = quadrature._FINITE_NODES, ((0.0, 1.0), (1.0, -1.0)), 1.0
+    return quadrature._pass(f, nodes, frames, 0.0, hi, 1.0, DEFAULT_TOL, 0,
+                            [quadrature._EVAL_BUDGET])
+
+
+@pytest.mark.parametrize("exc,half_line,t,status", (
+    # at the first node, t = 0 (x = 0.5, or x = 1 on the half line)
+    (OverflowError, False, 0.0, QuadStatus.MaxDepth),
+    (ZeroDivisionError, False, 0.0, QuadStatus.MaxDepth),
+    (ValueError, False, 0.0, QuadStatus.MaxDepth),
+    (OverflowError, True, 0.0, QuadStatus.Divergent),
+    (ZeroDivisionError, True, 0.0, QuadStatus.Divergent),
+    (ValueError, True, 0.0, QuadStatus.MaxDepth),
+    # at the node t = -5, in the tail window
+    (OverflowError, False, -5.0, QuadStatus.Divergent),
+    (ZeroDivisionError, False, -5.0, QuadStatus.Divergent),
+    (ValueError, False, -5.0, QuadStatus.Converged),
+    (OverflowError, True, -5.0, QuadStatus.Divergent),
+    (ZeroDivisionError, True, -5.0, QuadStatus.Divergent),
+    (ValueError, True, -5.0, QuadStatus.Converged),
+))
+def test_a_raise_at_a_node_maps_to_inf_or_nan(exc, half_line, t, status):
+    # OverflowError and ZeroDivisionError read as inf: Divergent in the tail
+    # window or on a half line, MaxDepth inside a finite interval. ValueError
+    # reads as NaN: skipped in the tail window, MaxDepth elsewhere
+    frame, q = quadrature._nodes(t)[half_line][:2]
+    x0 = (0.0, 1.0)[frame] + (1.0, -1.0)[frame] * q
+    base = (lambda x: math.exp(-x)) if half_line else (lambda x: 1.0)
+
+    def f(x):
+        if x == x0:
+            raise exc("at the chosen node")
+        return base(x)
+
+    res = _root_pass(f, half_line)
+    assert res.status is status
+    if status is QuadStatus.Converged:
+        assert res.value == pytest.approx(1.0, rel=1e-12)
+        assert res.evaluations == _root_pass(base, half_line).evaluations
+    elif t == 0.0:
+        assert res.evaluations == 1  # t = 0 is the first node of level 0
 
 
 # ----------------------------------------------------------- expectation
