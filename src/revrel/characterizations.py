@@ -60,7 +60,6 @@ from .functionals import rai, raw_moment
 from .quadrature import (
     DEFAULT_TOL,
     ExpectationSpec,
-    LogWeight,
     QuadResult,
     QuadStatus,
     Tolerances,
@@ -149,8 +148,8 @@ class CheckSpec:
     beta: Optional[float] = None
     suspect: bool = False
 
-    def lhs_weights(self, model: DistributionModel) -> Tuple[Callable[[float], float], ...]:
-        return _factors(self, model)
+    def lhs_weights(self, model: DistributionModel) -> Tuple[Callable[..., float], ...]:
+        return _factors(self)
 
 
 @dataclass(frozen=True)
@@ -499,25 +498,22 @@ def claimed_equality_pair(check: CheckSpec, model: DistributionModel) -> bool:
 
 # --------------------------------------------------------- check runner
 
-def _factors(check: CheckSpec, model: DistributionModel) -> Tuple[LogWeight, ...]:
-    """The check's factor weights as x -> log|w(x)|; their sign is the row's.
+def _factors(check: CheckSpec) -> Tuple[Callable[..., float], ...]:
+    """The check's factor weights as (x, lg, lphi) -> log|w(x)|; their sign is the row's.
 
-    Each reads the row's functional (and rhr, in a mixed product) from the
-    model's column table, so every check on the model shares one
-    evaluation of log_pdf and of each log functional per abscissa.
+    lg is the log of the row's functional at x and lphi that of rhr: the
+    columns ``run_check`` names, which expectation reads from the model's
+    column table.
     """
-    row = _row(check.id)
-    lw = row.weight(check)[0]
-    g = ((row.functional, _log_functional(model, row.functional)),)
+    lw = _row(check.id).weight(check)[0]
     if check.kind == _KIND_PRODUCT or check.kind == _KIND_MOMENT:
-        plus = LogWeight(model, g, lambda x, lg, _: lw(x) + lg)
+        plus = lambda x, lg, _: lw(x) + lg
         if check.kind == _KIND_MOMENT:
             return (plus,)
-        return (LogWeight(model, g, lambda x, lg, _: -lw(x) - lg), plus)
+        return (lambda x, lg, _: -lw(x) - lg, plus)
     # mixed products: the row's functional over rhr
-    g_phi = g + (("rhr", _log_functional(model, "rhr")),)
-    return (LogWeight(model, g_phi, lambda x, lg, lphi: lw(x) + lg - lphi),
-            LogWeight(model, g_phi, lambda x, lg, lphi: lw(x) + lphi - lg))
+    return (lambda x, lg, lphi: lw(x) + lg - lphi,
+            lambda x, lg, lphi: lw(x) + lphi - lg)
 
 
 def _rhs(check: CheckSpec, model: DistributionModel) -> float:
@@ -598,8 +594,13 @@ def run_check(check: CheckSpec, model: DistributionModel,
     except DivergentMoment as exc:
         return report(Verdict.Divergent, note=str(exc))
 
-    sign = _row(check.id).weight(check)[1]
-    results = tuple(expectation(ExpectationSpec(model, w, sign), tol)
+    row = _row(check.id)
+    sign = row.weight(check)[1]
+    names = (row.functional,)
+    if check.kind != _KIND_PRODUCT and check.kind != _KIND_MOMENT:
+        names += ("rhr",)  # a mixed product: the row's functional over rhr
+    columns = tuple((name, _log_functional(model, name)) for name in names)
+    results = tuple(expectation(ExpectationSpec(model, w, sign, columns), tol)
                     for w in check.lhs_weights(model))
     bad = [r for r in results if r.status is not QuadStatus.Converged]
     if bad:

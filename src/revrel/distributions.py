@@ -24,11 +24,12 @@ and finiterange's eit, 0/0 where t**k underflows.
 
 Each model also keeps a column table (``quadrature.ColumnTable``), private
 and empty at first: log_pdf, log rhr, log eit and log rai by abscissa, as
-far as the checks' weights have read them. A log functional is computed
-only where log_pdf is finite and only once a weight needs it, a raise
-stores nothing, and ``dataclasses.replace`` starts a new model with an
-empty table. Every check on a model then runs each closure once per
-abscissa, at about 200 bytes an abscissa.
+far as ``quadrature.expectation`` has read them for the checks' weights and
+the raw moments. A log functional is computed only where log_pdf is finite
+and only once a weight needs it, a raise stores nothing, and
+``dataclasses.replace`` starts a new model with an empty table. Every
+expectation on a model then runs each closure once per abscissa, at about
+200 bytes an abscissa.
 
 Each family is one row of ``_FAMILIES``: its builder and its parameters in
 canonical order with their admissible ranges. ``make_distribution`` checks
@@ -103,8 +104,8 @@ class DistributionModel:
     # log-native twins, where the linear closure leaves float range inside the support
     log_rhr: Optional[Callable[[float], float]] = None
     log_eit: Optional[Callable[[float], float]] = None
-    # log_pdf and the log functionals by abscissa, as far as the checks' weights
-    # have read them (quadrature.LogWeight); replace() starts an empty one
+    # log_pdf and the log functionals by abscissa, as far as expectations have
+    # read them (quadrature.expectation); replace() starts an empty one
     _columns: ColumnTable = field(
         default_factory=ColumnTable, init=False, repr=False, compare=False)
 

@@ -37,13 +37,12 @@ rule differs: a finite interval is halved, a half line peels off a finite
 chunk next to its anchor. ``expectation`` integrates in log space. Sampling
 lives in ``empirics``.
 
-For a ``LogWeight``, ``expectation`` reads log_pdf and the log functionals
-the weight needs from the model's ``ColumnTable``: one dict read per node,
-each value computed at the first read of its abscissa by any check on the
-model and then kept. A plain callable weight, wrapped or not, is called at
-each node instead; a ``LogWeight`` called that way reads the same table,
-so both paths give the same bits. A pass maps a raise in its integrand
-itself, in its node loop, and a raise is never kept in a table.
+``expectation`` reads log_pdf, and the log functionals a weight names,
+from the model's ``ColumnTable``: one dict read per node, each value
+computed at the first read of its abscissa by any weight on the model and
+then kept, so a wrapped weight and a moment's plain weight read the same
+rows as the checks. A pass maps a raise in its integrand itself, in its
+node loop, and a raise is never kept in a table.
 
 A pass evaluates only where the integrand is alive. Levels 0 to 3 (97
 nodes, the fewest a pass converges on) run in full. Each later level
@@ -62,7 +61,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from .errors import ParameterError, QuadratureError, SupportError
 
@@ -98,14 +97,16 @@ class QuadResult:
 class ExpectationSpec:
     """E[w(X)] against a model: weight is w, or log|w| when sign (x -> +/-1.0) is given.
 
-    A sign of ``positive`` marks a weight positive everywhere, and a weight
-    that is a ``LogWeight`` reads log_pdf and its log functionals from the
-    model's column table.
+    A signed weight is (x, a, b) -> log|w(x)|, where a and b are the values
+    at x of the log functionals that columns names as (name, x -> log
+    functional) pairs: one pair gives a = b, and none gives a = b =
+    log_pdf(x). A sign of ``positive`` marks a weight positive everywhere.
     """
 
     model: object
-    weight: Callable[[float], float]
+    weight: Callable[..., float]
     sign: Optional[Callable[[float], float]] = None
+    columns: Tuple[Tuple[str, Callable[[float], float]], ...] = ()
 
 
 def positive(x: float) -> float:
@@ -113,8 +114,8 @@ def positive(x: float) -> float:
     return 1.0
 
 
-# The log functionals a column table holds, by column; column 0 is log_pdf
-_COLUMN_SLOTS = {"rhr": 1, "eit": 2, "rai": 3}
+# The columns of a column table, by name; column 0 is log_pdf
+_COLUMN_SLOTS = {"log_pdf": 0, "rhr": 1, "eit": 2, "rai": 3}
 
 
 class ColumnTable(dict):
@@ -122,7 +123,7 @@ class ColumnTable(dict):
 
     Row k's values sit in ``columns``, one list per column: columns[0][k] is
     log_pdf(x), and columns[1], [2] and [3] hold log rhr, log eit and log rai
-    at x, each None until a ``LogWeight`` first needs it there. A row is no
+    at x, each None until a weight first needs it there. A row is no
     object of its own, so the table holds no container per abscissa for the
     garbage collector to walk.
     """
@@ -132,50 +133,6 @@ class ColumnTable(dict):
     def __init__(self):
         super().__init__()
         self.columns = ([], [], [], [])
-
-    def add(self, x: float, lp: float) -> int:
-        """A new row at x with log_pdf lp and no log functional yet; its number."""
-        log_pdfs, rhr, eit, rai = self.columns
-        k = self[x] = len(log_pdfs)
-        log_pdfs.append(lp)
-        rhr.append(None)
-        eit.append(None)
-        rai.append(None)
-        return k
-
-
-class LogWeight:
-    """x -> log|w(x)| = log_w(x, a, b), where a and b are log functionals of the model.
-
-    columns gives one or two (name, x -> log functional) pairs; a and b are
-    their values, and a is b for one. They come from the model's
-    ``ColumnTable``, which every weight on the model shares, so each
-    closure runs once per abscissa: log_pdf when the row is made, a log
-    functional when a weight first needs it where log_pdf is finite. A
-    raise stores nothing. ``expectation`` reads the table inline; a call
-    reads it the same way, so both give the same bits.
-    """
-
-    __slots__ = ("table", "log_pdf", "a", "col_a", "b", "col_b", "log_w")
-
-    def __init__(self, model, columns, log_w: Callable[[float, float, float], float]):
-        self.table, self.log_pdf = model._columns, model.log_pdf
-        (name_a, self.col_a), (name_b, self.col_b) = columns[0], columns[-1]
-        self.a = self.table.columns[_COLUMN_SLOTS[name_a]]
-        self.b = self.table.columns[_COLUMN_SLOTS[name_b]]
-        self.log_w = log_w
-
-    def __call__(self, x: float) -> float:
-        k = self.table.get(x)
-        if k is None:
-            k = self.table.add(x, self.log_pdf(x))
-        a = self.a[k]
-        if a is None:
-            a = self.a[k] = self.col_a(x)
-        b = self.b[k]
-        if b is None:
-            b = self.b[k] = self.col_b(x)
-        return self.log_w(x, a, b)
 
 
 # Node horizon. At |t| = 6 the endpoint distance sigma*sigmac is ~8.6e-276,
@@ -533,20 +490,20 @@ def integrate_upper_unbounded(f: Callable[[float], float], lo: float,
     return _half_line(f, lo, 1.0, tol or DEFAULT_TOL, 0, [_EVAL_BUDGET])
 
 
-_NO_LOG_WEIGHT = lambda x: 0.0
+_NO_LOG_WEIGHT = lambda x, a, b: 0.0
 
 
 def expectation(spec: ExpectationSpec, tol: Optional[Tolerances] = None) -> QuadResult:
     """E[w(X)] for the model in spec, signs preserved.
 
-    A weight is w(x) = factor(x)*exp(log_w(x)), with (log_w, factor) =
-    (log|w|, sign) when spec gives a sign and (0, w) for a plain weight.
-    The one integrand factor(x)*exp(log_pdf(x) + log_w(x)) exponentiates
-    once, so a density below float range keeps its finite product with a
-    weight above it.  It is 0 without the weight where log_pdf is -inf, and
-    without the factor where the product underflows or the sign is
-    ``positive``.  A ``LogWeight`` takes log_pdf(x) and its log functionals
-    from the model's column table, one dict read per node.
+    A weight is w(x) = factor(x)*exp(log_w(x, a, b)), with (log_w, factor)
+    = (log|w|, sign) when spec gives a sign and (0, w) for a plain weight.
+    The one integrand factor(x)*exp(log_pdf(x) + log_w(x, a, b))
+    exponentiates once, so a density below float range keeps its finite
+    product with a weight above it.  It is 0 without the weight where
+    log_pdf is -inf, and without the factor where the product underflows or
+    the sign is ``positive``.  log_pdf(x), a and b come from the model's
+    column table, one dict read per node.
     """
     model = spec.model
     if spec.sign is None:
@@ -557,43 +514,36 @@ def expectation(spec: ExpectationSpec, tol: Optional[Tolerances] = None) -> Quad
     lo = model.support.lower
     hi = model.support.upper
 
-    if isinstance(log_w, LogWeight):
-        weight = log_w
-        table, log_pdf, log_w = weight.table, weight.log_pdf, weight.log_w
-        a_col, col_a, b_col, col_b = weight.a, weight.col_a, weight.b, weight.col_b
-        get = table.get
-        log_pdfs, rhr, eit, rai = table.columns
+    table, log_pdf = model._columns, model.log_pdf
+    get = table.get
+    log_pdfs, rhr, eit, rai = table.columns
+    # log_pdf's column has no None, so its closure is never called
+    columns = spec.columns or (("log_pdf", None),)
+    (name_a, col_a), (name_b, col_b) = columns[0], columns[-1]
+    a_col = table.columns[_COLUMN_SLOTS[name_a]]
+    b_col = table.columns[_COLUMN_SLOTS[name_b]]
 
-        def integrand(x, exp=math.exp, no_mass=-math.inf):
-            k = get(x)
-            if k is None:  # ColumnTable.add, inline: most first reads are in one-off models
-                lp = log_pdf(x)
-                k = table[x] = len(log_pdfs)
-                log_pdfs.append(lp)
-                rhr.append(None)
-                eit.append(None)
-                rai.append(None)
-            else:
-                lp = log_pdfs[k]
-            if lp == no_mass:
-                return 0.0
-            a = a_col[k]
-            if a is None:
-                a = a_col[k] = col_a(x)
-            b = b_col[k]
-            if b is None:
-                b = b_col[k] = col_b(x)
-            m = exp(lp + log_w(x, a, b))
-            return factor(x) * m if signed and m != 0.0 else m
-    else:
-        log_pdf = model.log_pdf
-
-        def integrand(x, exp=math.exp, no_mass=-math.inf):
+    def integrand(x, exp=math.exp, no_mass=-math.inf):
+        k = get(x)
+        if k is None:
             lp = log_pdf(x)
-            if lp == no_mass:
-                return 0.0
-            m = exp(lp + log_w(x))
-            return factor(x) * m if signed and m != 0.0 else m
+            k = table[x] = len(log_pdfs)
+            log_pdfs.append(lp)
+            rhr.append(None)
+            eit.append(None)
+            rai.append(None)
+        else:
+            lp = log_pdfs[k]
+        if lp == no_mass:
+            return 0.0
+        a = a_col[k]
+        if a is None:
+            a = a_col[k] = col_a(x)
+        b = b_col[k]
+        if b is None:
+            b = b_col[k] = col_b(x)
+        m = exp(lp + log_w(x, a, b))
+        return factor(x) * m if signed and m != 0.0 else m
 
     if math.isinf(lo) and math.isinf(hi):
         raise ParameterError("doubly unbounded supports are not used here")

@@ -24,6 +24,7 @@ from revrel.functionals import (
     numeric_rhr,
     rai,
     rai_integral_form,
+    raw_moment,
     rhr,
     rhr_eit_identity_residual,
 )
@@ -286,3 +287,23 @@ def test_functional_profile_drops_rai_when_unbounded():
     prof = functional_profile(m, 1.7)
     assert "rai" not in prof
     assert prof["eit"] == pytest.approx(0.6277453671971358, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# raw moments without a closed form
+
+def test_raw_moment_reads_log_pdf_from_the_column_table():
+    base = model_from_text("truncevpower:alpha=1.5,b=0")
+    assert base.moments is None  # integrated, not closed
+    calls = []
+
+    def log_pdf(x):
+        calls.append(x)
+        return base.log_pdf(x)
+
+    model = dataclasses.replace(base, log_pdf=log_pdf)
+    first = raw_moment(model, 1)
+    assert len(calls) == len(model._columns)  # one call per abscissa
+    del calls[:]
+    assert raw_moment(model, 1) == first  # the identical float
+    assert calls == []
