@@ -32,11 +32,11 @@ family.  Suspect checks still run and report measured behavior, but no
 equality is ever asserted for them.
 
 The ``Violation`` verdict (converged ratio below 1 beyond tolerance)
-keeps the impossible case visible.  It is reachable: the odd-power
-x-weights of T2_7, T4_2 and T4_4 change sign on supports that contain 0,
-and only T3_4 and T3_5 guard against that.  On
-``truncevpower:alpha=1.708,b=0.513`` they give ratios -4.24, -21.96 and
--0.46 (see the domain-guard item in ROADMAP.md).
+keeps the impossible case visible.  A weight with a pole inside the
+support (T2_9, T2_10, T3_4, T3_5) is a DomainMismatch, but the positive odd
+powers of T2_7, T4_2 and T4_4 change sign on supports that contain 0
+unguarded: on ``truncevpower:alpha=1.708,b=0.513`` they give ratios -4.24,
+-21.96 and -0.46 (see the domain-guard item in ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -189,29 +189,16 @@ def _log_functional(model: DistributionModel, name: str) -> Callable[[float], fl
 # endpoint blow-up.  A factor is therefore x -> log|w(x)|, a sum of logs
 # that the engine adds to log_pdf and exponentiates once, so the integrand
 # leaves float range only where the weighted density itself does.
-# An x-weight shape maps a check to (log|w|, sign of w); every factor of a
-# check shares that sign.
+# A check's x-weight is data (p, alpha, beta, s), p an integer and p or s 0:
+# w(x) = (alpha+beta*x)^p * e^(s*x).  ``_weight`` builds log|w| and the sign
+# of w from it, and every factor of the check shares that sign.
 
-_sign_x = lambda x: 1.0 if x > 0.0 else -1.0
-
-
-def _power(p: int):
-    # exact for p = 1 and p = -1: 1*y and -1*y are y and -y
-    return (lambda x, log=math.log: p * log(abs(x))), (positive if p % 2 == 0 else _sign_x)
-
-
-def _reciprocal_linear(c: CheckSpec):
-    a, bt = c.alpha, c.beta
-    return (lambda x: -math.log(abs(a + bt * x))), \
-           (lambda x: 1.0 if a + bt * x > 0.0 else -1.0)
-
-
-_UNIT = lambda c: ((lambda x: 0.0), positive)
-_X = lambda c: _power(1)
-_X_TO_K = lambda c: _power(c.k)
-_X_TO_MINUS_K = lambda c: _power(-c.k)
-_EXP_X = lambda c: ((lambda x: x), positive)
-_BASE_TO_X = lambda c: ((lambda x, lb=math.log(c.base): x * lb), positive)
+_UNIT = lambda c: (0, 0.0, 1.0, 0.0)
+_X = lambda c: (1, 0.0, 1.0, 0.0)
+_X_TO_K = lambda c: (c.k, 0.0, 1.0, 0.0)
+_X_TO_MINUS_K = lambda c: (-c.k, 0.0, 1.0, 0.0)
+_EXP_X = lambda c: (0, 0.0, 1.0, 1.0)
+_BASE_TO_X = lambda c: (0, 0.0, 1.0, math.log(c.base))
 
 
 def _integer_k(minimum: int, odd: bool = False):
@@ -237,12 +224,6 @@ def _linear_coefficients(tid: TheoremId, alpha, beta) -> Dict[str, object]:
     if alpha == 0.0 and beta == 0.0:
         raise ParameterError(f"{tid.value} weight alpha+beta*x must not vanish identically")
     return {"alpha": alpha, "beta": beta}
-
-
-def _reciprocal_linear_guard(c: CheckSpec, lo: float, hi: float) -> Optional[str]:
-    if c.beta != 0.0 and lo < -c.alpha / c.beta < hi:
-        return "weight 1/(alpha+beta*x) changes sign inside the support"
-    return None
 
 
 def _constant_eit(c: CheckSpec, fam: str, p: Mapping[str, float]) -> bool:
@@ -279,14 +260,13 @@ class _Row:
     kind: str
     support: SupportRequirement
     functional: str  # g of a product or moment bound, or rhr's partner in a mixed one
-    weight: Callable  # x-weight shape: check -> (log|w|, sign of w)
+    weight: Callable  # check -> its x-weight data (p, alpha, beta, s), see above
     family: Tuple[str, Mapping[str, float]]  # equality family, free parameters, defaults
     equality: Callable  # (check, family, its params) -> equality, or a suspect's claim
     params: Mapping[str, object] = field(default_factory=dict)  # taken, with defaults
     validate: Callable = lambda tid: {}  # checks params, returns CheckSpec fields
     # family parameters set by the check; a family with them takes its parameters
     family_params: Optional[Callable[[CheckSpec, Dict], Dict]] = None
-    sign_guard: Optional[Callable[[CheckSpec, float, float], Optional[str]]] = None
     suspect: bool = False
 
 
@@ -347,16 +327,13 @@ _ROWS: Dict[TheoremId, _Row] = {
                          suspect=True),
     TheoremId.T3_4: _Row(
         "E[eit(X)/X] * E[X/eit(X)] >= 1",
-        _PRODUCT, _ANY, "eit", lambda c: _power(-1), _POWER,
-        lambda c, fam, p: fam in ("power", "uniform") or (fam == "linearmit" and p["alpha"] == 0.0),
-        sign_guard=lambda c, lo, hi: "weight 1/x changes sign inside the support"
-        if lo < 0.0 < hi else None),
+        _PRODUCT, _ANY, "eit", lambda c: (-1, 0.0, 1.0, 0.0), _POWER,
+        lambda c, fam, p: fam in ("power", "uniform") or (fam == "linearmit" and p["alpha"] == 0.0)),
     TheoremId.T3_5: _Row(
         "E[eit(X)/({alpha:g}+{beta:g}*X)] * E[({alpha:g}+{beta:g}*X)/eit(X)] >= 1",
-        _PRODUCT, _ANY, "eit", _reciprocal_linear,
+        _PRODUCT, _ANY, "eit", lambda c: (-1, c.alpha, c.beta, 0.0),
         ("linearmit", {"xi": 0.8, "alpha": 1.0, "beta": 0.5, "b": 0.0}), _linear_eit,
-        params={"alpha": 1.0, "beta": 0.5}, validate=_linear_coefficients,
-        sign_guard=_reciprocal_linear_guard),
+        params={"alpha": 1.0, "beta": 0.5}, validate=_linear_coefficients),
     TheoremId.T3_6: _Row("E[1/(exp(X)*eit(X))] * E[exp(X)*eit(X)] >= 1",
                          _PRODUCT, _ANY, "eit", _EXP_X, ("explinkedeit", {"theta": 1.0, "b": 0.0}),
                          lambda c, fam, p: _BASE_A_EIT(fam, p, math.e) and p.get("gamma", 1) == 1,
@@ -498,14 +475,28 @@ def claimed_equality_pair(check: CheckSpec, model: DistributionModel) -> bool:
 
 # --------------------------------------------------------- check runner
 
+def _weight(check: CheckSpec) -> Tuple[Callable[[float], float], Callable[[float], float]]:
+    """(x -> log|w(x)|, x -> sign of w(x)) from the check's x-weight data, one closure per shape."""
+    p, a, bt, s = _row(check.id).weight(check)
+    if p == 0:
+        return ((lambda x: x * s) if s else (lambda x: 0.0)), positive
+    if a == 0.0 and bt == 1.0:  # a power of x: no alpha+beta*x per node
+        log_w = lambda x, log=math.log: p * log(abs(x))
+        sign = lambda x: 1.0 if x > 0.0 else -1.0
+    else:
+        log_w = lambda x, log=math.log: p * log(abs(a + bt * x))
+        sign = lambda x: 1.0 if a + bt * x > 0.0 else -1.0
+    return log_w, (positive if p % 2 == 0 else sign)
+
+
 def _factors(check: CheckSpec) -> Tuple[Callable[..., float], ...]:
-    """The check's factor weights as (x, lg, lphi) -> log|w(x)|; their sign is the row's.
+    """The check's factor weights as (x, lg, lphi) -> log|w(x)|; their sign is the weight's.
 
     lg is the log of the row's functional at x and lphi that of rhr: the
     columns ``run_check`` names, which expectation reads from the model's
     column table.
     """
-    lw = _row(check.id).weight(check)[0]
+    lw = _weight(check)[0]
     if check.kind == _KIND_PRODUCT or check.kind == _KIND_MOMENT:
         plus = lambda x, lg, _: lw(x) + lg
         if check.kind == _KIND_MOMENT:
@@ -525,7 +516,7 @@ def _rhs(check: CheckSpec, model: DistributionModel) -> float:
     denom = f"b^{k + 1} - mu_{k + 1}"
     if kind == _KIND_MOMENT:
         d = _rhs_term(denom, lambda: model.support.upper ** (k + 1) - raw_moment(model, k + 1))
-        if _row(check.id).weight is not _X_TO_K:
+        if _row(check.id).weight(check)[0] < 0:  # E[rhr(X)/X^k]
             return _rhs_term(f"{k + 1}/({denom})", lambda: (k + 1) / d)
     mu_k = raw_moment(model, k)
     musq = _rhs_term(f"mu_{k}^2", lambda: mu_k * mu_k, f" (mu_{k} = {mu_k!r})")
@@ -552,9 +543,17 @@ def _support_mismatch(check: CheckSpec, model: DistributionModel) -> Optional[st
         return "support extends below zero"
     if check.support_requirement is SupportRequirement.FiniteB and not math.isfinite(hi):
         return "support is unbounded above"
-    # ratio weights must keep one sign on the interior
-    guard = _row(check.id).sign_guard
-    return None if guard is None else guard(check, lo, hi)
+    return None
+
+
+def _pole(check: CheckSpec, model: DistributionModel) -> Optional[str]:
+    """A note when a negative power in the weight has its pole strictly inside the support."""
+    p, a, bt, _ = _row(check.id).weight(check)
+    if p < 0 and bt != 0.0 and model.support.lower < -a / bt < model.support.upper:
+        base = "x" if check.alpha is None else "(alpha+beta*x)"
+        power = "" if p == -1 else f"^{-p}"
+        return f"weight 1/{base}{power} changes sign inside the support"
+    return None
 
 
 def run_check(check: CheckSpec, model: DistributionModel,
@@ -563,9 +562,10 @@ def run_check(check: CheckSpec, model: DistributionModel,
     """Evaluate one check against one model and classify the outcome.
 
     All failure modes are verdicts, never exceptions: a support the
-    check does not cover, or a right-hand side term that is 0, overflows
-    or is not finite, is DomainMismatch; any component integral or
-    required moment that fails to converge is Divergent.
+    check does not cover, then a right-hand side term that is 0, overflows
+    or is not finite, then a weight with a pole inside the support is
+    DomainMismatch; any component integral or required moment that fails
+    to converge is Divergent.
     """
     if not eq_tol > 0.0:
         raise ParameterError(f"eq_tol must be positive, got {eq_tol!r}")
@@ -593,9 +593,12 @@ def run_check(check: CheckSpec, model: DistributionModel,
         return report(Verdict.DomainMismatch, note=str(exc))
     except DivergentMoment as exc:
         return report(Verdict.Divergent, note=str(exc))
+    pole = _pole(check, model)
+    if pole is not None:
+        return report(Verdict.DomainMismatch, note=pole)
 
     row = _row(check.id)
-    sign = row.weight(check)[1]
+    sign = _weight(check)[1]
     names = (row.functional,)
     if check.kind != _KIND_PRODUCT and check.kind != _KIND_MOMENT:
         names += ("rhr",)  # a mixed product: the row's functional over rhr

@@ -16,14 +16,13 @@ properties that off-the-shelf fixed rules do not combine:
 The core rule is tanh-sinh (double-exponential) quadrature on a finite
 interval. Abscissas cluster doubly-exponentially at both endpoints, so
 integrable endpoint singularities like x**-1/2 converge at machine-level
-accuracy without any special casing. Divergence has four signals: the
+accuracy without any special casing. Divergence has three signals: the
 transformed integrand failing to decay near the clamp of the node window
-(the tail-slope rule); the running estimate growing by more than a fixed
-factor over several consecutive levels; an infinite value at any node of a
-half line, which no finite chunk peeled off it could hold; and, on a pass
-about to give up, the tail-slope rule on a probe just inside the last node
-that can be placed, where an endpoint's nodes round onto it (closer than
-one ulp) before the tail window. Interval halving is the fallback for
+(the tail-slope rule); an infinite value at any node of a half line, which
+no finite chunk peeled off it could hold; and, on a pass about to give up,
+the tail-slope rule on a probe just inside the last node that can be
+placed, where an endpoint's nodes round onto it (closer than one ulp)
+before the tail window. Interval halving is the fallback for
 interior trouble. Integrands that only become tractable past the
 double-precision node horizon are reported Divergent by the decay rules:
 exponents within ~1e-6 of a divergent power, or within ~0.1 at an endpoint
@@ -142,8 +141,6 @@ _ROOT_LEVELS = 9
 _CHILD_LEVELS = 7
 _TAIL_WINDOW = 1.2
 _TAIL_SLOPE = -0.05
-_GROWTH_FACTOR = 1.5
-_GROWTH_RUNS = 5
 _MIN_LEVEL = 3
 _MAX_DEPTH = 50
 # Evaluations per integral. Only a non-zero node ends a sweep on it, so zero-valued
@@ -312,7 +309,6 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
     total_neg = 0.0  # the negative part of total_wf, so |f| needs no abs() per node
     s_prev = math.nan
     err = math.inf
-    growth_run = 0
     evaluations = 0
     # pooled non-zero tail samples (|t|, log|g|), one pool per endpoint side
     tail = {-1: [], 1: []}
@@ -392,12 +388,6 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
 
         if not math.isnan(s_prev):
             err = abs(s_cur - s_prev)
-            if abs(s_cur) > _GROWTH_FACTOR * abs(s_prev) and abs(s_cur) > 10.0 * target:
-                growth_run += 1
-                if growth_run >= _GROWTH_RUNS:
-                    return QuadResult(s_cur, math.inf, QuadStatus.Divergent, evaluations)
-            else:
-                growth_run = 0
             for side in (-1, 1):
                 pts = tail[side]
                 if len(pts) >= 3 and tail_mass > target:

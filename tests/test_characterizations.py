@@ -15,6 +15,7 @@ import mpmath
 import pytest
 import scipy.special as sc
 
+from revrel import characterizations
 from revrel.characterizations import (
     CheckReport,
     CheckSpec,
@@ -126,6 +127,57 @@ def test_support_requirements():
     assert req["T2_2"] is SupportRequirement.Nonnegative
     assert req["T2_7"] is SupportRequirement.FiniteB
     assert req["T4_4"] is SupportRequirement.FiniteB
+
+
+# Each check's x-weight as its description prints it, and as a direct formula
+PRINTED_WEIGHTS = {
+    TheoremId.T2_1: ("E[1/rhr(X)]", lambda c, x: 1.0),
+    TheoremId.T2_2: ("E[X*rhr(X)]", lambda c, x: x),
+    TheoremId.T2_4: ("E[X^{k}*rhr(X)]", lambda c, x: x ** c.k),
+    TheoremId.T2_5: ("E[exp(X)*rhr(X)]", lambda c, x: math.exp(x)),
+    TheoremId.T2_6: ("E[{base:g}^X*rhr(X)]", lambda c, x: c.base ** x),
+    TheoremId.T2_7: ("E[X*rhr(X)]", lambda c, x: x),
+    TheoremId.T2_8: ("E[X^{k}*rhr(X)]", lambda c, x: x ** c.k),
+    TheoremId.T2_9: ("E[rhr(X)/X]", lambda c, x: 1.0 / x),
+    TheoremId.T2_10: ("E[rhr(X)/X^{k}]", lambda c, x: 1.0 / x ** c.k),
+    TheoremId.T3_1: ("E[1/eit(X)]", lambda c, x: 1.0),
+    TheoremId.T3_2: ("E[X*eit(X)]", lambda c, x: x),
+    TheoremId.T3_3: ("E[X^{k}*eit(X)]", lambda c, x: x ** c.k),
+    TheoremId.T3_4: ("E[eit(X)/X]", lambda c, x: 1.0 / x),
+    TheoremId.T3_5: ("E[eit(X)/({alpha:g}+{beta:g}*X)]",
+                     lambda c, x: 1.0 / (c.alpha + c.beta * x)),
+    TheoremId.T3_6: ("E[exp(X)*eit(X)]", lambda c, x: math.exp(x)),
+    TheoremId.T3_7: ("E[{base:g}^X*eit(X)]", lambda c, x: c.base ** x),
+    TheoremId.T4_1: ("E[rhr(X)/eit(X)]", lambda c, x: 1.0),
+    TheoremId.T4_2: ("E[X^{k}*rhr(X)/eit(X)]", lambda c, x: x ** c.k),
+    TheoremId.T4_3: ("E[rhr(X)/rai(X)]", lambda c, x: 1.0),
+    TheoremId.T4_4: ("E[X^{k}*rhr(X)/rai(X)]", lambda c, x: x ** c.k),
+}
+
+
+@pytest.mark.parametrize("check", theorem_catalog() + (
+    make_check(TheoremId.T3_5, alpha=-2.0, beta=3.0),
+    make_check(TheoremId.T3_5, alpha=0.0, beta=-1.5),
+    make_check(TheoremId.T3_5, alpha=0.5, beta=0.0),
+    make_check(TheoremId.T2_6, base=3.0),
+    make_check(TheoremId.T3_7, base=3.0),
+    make_check(TheoremId.T2_4, k=3),
+    make_check(TheoremId.T2_8, k=3),
+    make_check(TheoremId.T2_10, k=5),
+    make_check(TheoremId.T3_3, k=3),
+    make_check(TheoremId.T4_2, k=0),
+    make_check(TheoremId.T4_2, k=2),
+    make_check(TheoremId.T4_4, k=3),
+), ids=lambda c: c.description)
+def test_each_weight_tuple_gives_its_printed_weight(check):
+    # a check's (p, alpha, beta, s) builds log|w| and its sign; both have to
+    # give back the weight its description prints
+    text, direct = PRINTED_WEIGHTS[check.id]
+    assert text.format(k=check.k, base=check.base, alpha=check.alpha,
+                       beta=check.beta) in check.description
+    log_w, sign = characterizations._weight(check)
+    for x in (-2.5, -0.7, 0.3, 1.9):
+        assert sign(x) * math.exp(log_w(x)) == pytest.approx(direct(check, x), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +323,39 @@ def test_right_hand_side_overflow_is_a_domain_mismatch(theorem, text, moment):
     assert r.verdict is Verdict.DomainMismatch
     assert moment in r.note
     assert r.components == ()
+
+
+@pytest.mark.parametrize("theorem,text,note", (
+    (TheoremId.T2_9, "linearmit:xi=0.8,alpha=1,beta=0.5,b=1",
+     "weight 1/x changes sign inside the support"),
+    (TheoremId.T2_10, "type3ev:gamma=1,b=1", "weight 1/x^3 changes sign inside the support"),
+    (TheoremId.T3_4, "type3ev:gamma=1,b=1", "weight 1/x changes sign inside the support"),
+    (TheoremId.T3_5, "type3ev:gamma=1,b=1",
+     "weight 1/(alpha+beta*x) changes sign inside the support"),
+))
+def test_a_pole_inside_the_support_is_a_domain_mismatch(theorem, text, note):
+    # a negative power of x (or of alpha+beta*x) has a pole at 0 (or at
+    # -alpha/beta) inside these supports, so its expectation means nothing
+    # there; the cell is refused before any integral is run
+    r = _run(theorem, text)
+    assert r.verdict is Verdict.DomainMismatch
+    assert r.note == note
+    assert r.components == ()
+    assert math.isnan(r.ratio)
+
+
+@pytest.mark.parametrize("theorem,text,note", (
+    (TheoremId.T2_9, "type3ev:gamma=1,b=1", "degenerate right-hand side: b^2 - mu_2 = 0"),
+    (TheoremId.T2_10, "type3ev:gamma=1,b=1e120",
+     "degenerate right-hand side: b^4 - mu_4 = inf"),
+))
+def test_a_degenerate_right_hand_side_is_named_before_the_pole(theorem, text, note):
+    # the support holds the pole at 0 too, but the right-hand side's note wins
+    model = model_from_text(text)
+    assert model.support.lower < 0.0 < model.support.upper
+    r = run_check(make_check(theorem), model)
+    assert r.verdict is Verdict.DomainMismatch
+    assert r.note == note
 
 
 def test_divergent_moment_on_the_right_hand_side_is_divergent():

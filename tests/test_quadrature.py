@@ -69,6 +69,27 @@ def test_finite_near_divergent_power_hits_depth_cap():
     assert abs(res.value - 100.0) < 0.5
 
 
+@pytest.mark.parametrize("f,lo,hi", (
+    (lambda x: math.exp(-x * x) / x ** 3, -1.0, 1.7),
+    (lambda x: 1.0 / x ** 3, -1.0, 2.0),
+), ids=("damped", "bare"))
+def test_an_interior_pole_never_reads_converged(f, lo, hi):
+    # an odd pole at 0 inside the interval: the halves' sums grow without
+    # bound as the splits close in on it, and the subdivision gives up
+    res = integrate_finite(f, lo, hi)
+    assert res.status is QuadStatus.MaxDepth
+
+
+def test_a_spike_that_settles_converges_to_its_closed_form():
+    # the running sum climbs level after level while the nodes resolve the
+    # spike at 0.3, then settles: that growth is no sign of divergence
+    eps = 1e-8
+    res = integrate_finite(lambda x: 1.0 / (eps + (x - 0.3) ** 2), 0.0, 1.0)
+    want = (math.atan(0.7 / math.sqrt(eps)) + math.atan(0.3 / math.sqrt(eps))) / math.sqrt(eps)
+    assert res.status is QuadStatus.Converged
+    assert res.value == pytest.approx(want, rel=1e-9)
+
+
 def test_finite_divergence_past_the_last_placeable_node():
     # nodes within one ulp of -2 round onto it, so the sweep never reaches
     # the tail window there; the probe just inside the last placeable node
