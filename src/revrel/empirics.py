@@ -13,12 +13,26 @@ ratio sits to 1 gives a crude but usable identification procedure.
 The smallest order statistics make 1/m-hat explode, so gap statistics
 evaluate only above a trimmed fraction of the sample (default 0.05) and
 never at the minimum itself, where the estimate is exactly zero.
+
+A sample lives in one of two containers, picked by what the caller hands
+in: a list or tuple of at most ``_FLOATS_MAX`` values stays a sorted tuple
+of floats, and ``empirical_eit``, ``gap_statistics`` and ``identify`` run
+on it in plain Python without loading numpy (a cold ``revrel identify``
+on a sample file is mostly numpy's import otherwise); an ndarray or a
+longer sequence becomes a sorted float64 array.  The tuple path repeats
+numpy's operations one by one, its pairwise summation included, so both
+give the same floats bit for bit.  The one exception is where +0.0 and
+-0.0 sit among each other, which ``np.sort`` leaves unspecified.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from pathlib import Path
 from typing import Callable, Sequence, Tuple, Union
 
@@ -49,14 +63,37 @@ __all__ = [
     "sample_inverse_cdf",
 ]
 
+# Longest list or tuple a SampleSet keeps as plain floats: the largest power
+# of two at which a cold `revrel identify` on the float path is no slower
+# than on the numpy path, whose import alone takes about 130 ms (2-core x86
+# host, medians of 15: 162 against 222 ms at 2**15, 273 against 260 ms at 2**16).
+_FLOATS_MAX = 32768
+
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Sorted finite sample; the constructor sorts whatever order comes in."""
+    """Sorted finite sample; the constructor sorts whatever order comes in.
 
-    values: np.ndarray
+    ``values`` is a sorted tuple of floats when a list or tuple of at most
+    ``_FLOATS_MAX`` values comes in, and a sorted float64 ndarray otherwise
+    (an ndarray, or a longer sequence). The statistics in this module give
+    the same floats on both.
+    """
+
+    values: Union[Tuple[float, ...], np.ndarray]
 
     def __post_init__(self) -> None:
+        if isinstance(self.values, (list, tuple)) and len(self.values) <= _FLOATS_MAX:
+            try:
+                floats = tuple(sorted(map(float, self.values)))
+            except TypeError:
+                raise ParameterError("sample must be a nonempty 1-d array")
+            if not floats:
+                raise ParameterError("sample must be a nonempty 1-d array")
+            if not all(map(math.isfinite, floats)):
+                raise ParameterError("sample values must all be finite")
+            object.__setattr__(self, "values", floats)
+            return
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("sample must be a nonempty 1-d array")
@@ -66,7 +103,7 @@ class SampleSet:
 
     @property
     def n(self) -> int:
-        return int(self.values.size)
+        return len(self.values)
 
 
 def sample_inverse_cdf(model, n: int, seed: int):
@@ -92,7 +129,7 @@ def _apply(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
 def mc_expectation(samples, g: Callable[[float], float]):
     """Sample mean and standard error of g over the sample values."""
     with np.errstate(all="ignore"):
-        vals = _apply(g, samples.values)
+        vals = _apply(g, np.asarray(samples.values, dtype=float))
     if not np.all(np.isfinite(vals)):
         raise NonFiniteWeight("weight function produced a non-finite value on the sample")
     n = len(vals)
@@ -142,10 +179,49 @@ def empirical_eit(sample: SampleSet, t: float) -> float:
     vanishes and the conditional mean is undefined.
     """
     vals = sample.values
-    k = int(np.searchsorted(vals, t, side="right"))
+    floats = isinstance(vals, tuple)
+    k = bisect.bisect_right(vals, t) if floats else int(np.searchsorted(vals, t, side="right"))
     if k == 0:
         raise NoMass(f"no sample mass at or below t={t!r}")
-    return float(t - vals[:k].sum() / k)
+    total = _pairwise_sum(vals[:k]) if floats else vals[:k].sum()
+    return float(t - total / k)
+
+
+def _pairwise_sum(xs: Sequence[float]) -> float:
+    """numpy's float64 ``add.reduce`` of xs, bit for bit: its initial 0.0
+    plus the pairwise sum of ``_pairwise``."""
+    return 0.0 + _pairwise(xs, 0, len(xs))
+
+
+def _pairwise(xs: Sequence[float], lo: int, hi: int) -> float:
+    # numpy's pairwise_sum over xs[lo:hi]: fewer than 8 terms in order from
+    # 0.0; up to 128 terms in 8 strided running sums, combined as a tree, then
+    # the remainder in order; longer runs split at n/2 rounded down to a
+    # multiple of 8
+    n = hi - lo
+    if n < 8:
+        return reduce(add, xs[lo:hi], 0.0)
+    if n <= 128:
+        body = hi - n % 8
+        r = [reduce(add, xs[j:body:8]) for j in range(lo, lo + 8)]
+        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, xs[body:hi], tree)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(xs, lo, lo + half) + _pairwise(xs, lo + half, hi)
+
+
+def _mean(xs: Sequence[float]) -> float:
+    """np.mean of a float64 array holding xs; nan when xs is empty."""
+    return _pairwise_sum(xs) / len(xs) if xs else math.nan
+
+
+def _reciprocals(xs: Sequence[float]) -> list:
+    """1.0 / x for each x, a zero giving numpy's signed infinity."""
+    try:
+        return [1.0 / x for x in xs]
+    except ZeroDivisionError:
+        return [1.0 / x if x else math.copysign(math.inf, x) for x in xs]
 
 
 def _eit_at_order_statistics(vals: np.ndarray) -> np.ndarray:
@@ -170,8 +246,10 @@ def gap_statistics(sample: SampleSet, trim: float = 0.05) -> Tuple[GapStatistic,
     if n < 50:
         raise TooFewPoints(f"need at least 50 points, got {n}")
     vals = sample.values
-    m_hat = _eit_at_order_statistics(vals)
     start = max(math.ceil(trim * n) + 1, 2)  # 1-based order statistic index
+    if isinstance(vals, tuple):
+        return _float_gap_statistics(vals, start, trim)
+    m_hat = _eit_at_order_statistics(vals)
     m_used = m_hat[start - 1:]
     x_used = vals[start - 1:]
 
@@ -196,6 +274,22 @@ def gap_statistics(sample: SampleSet, trim: float = 0.05) -> Tuple[GapStatistic,
         out.append(GapStatistic(TheoremId.T3_4, lhs,
                                 _safe_recip(inv_rhs), lhs * inv_rhs, trim))
     return tuple(out)
+
+
+def _float_gap_statistics(vals: Tuple[float, ...], start: int,
+                          trim: float) -> Tuple[GapStatistic, ...]:
+    # gap_statistics' ndarray code on plain floats, one numpy operation at a
+    # time: cumsum is a running sum in order, then x - prefix / i elementwise
+    m_hat = [x - p / i for i, x, p in zip(range(1, len(vals) + 1), vals, accumulate(vals))]
+    m_used = m_hat[start - 1:]
+    x_used = vals[start - 1:]
+    xm = [x * m for x, m in zip(x_used, m_used) if x != 0.0]
+    ratio_mx = [m / x for x, m in zip(x_used, m_used) if x != 0.0]
+    return tuple(GapStatistic(theorem, lhs, _safe_recip(inv_rhs), lhs * inv_rhs, trim)
+                 for theorem, lhs, inv_rhs in (
+                     (TheoremId.T3_1, _mean(_reciprocals(m_used)), _mean(m_used)),
+                     (TheoremId.T3_2, _mean(_reciprocals(xm)), _mean(xm)),
+                     (TheoremId.T3_4, _mean(ratio_mx), _mean(_reciprocals(ratio_mx)))))
 
 
 def _safe_recip(v: float) -> float:
@@ -240,10 +334,14 @@ def read_samples(path: Union[str, Path]) -> SampleSet:
             if not line or line.startswith("#"):
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ParameterError(
                     f"{path}: line {lineno}: not a decimal value: {line!r}")
+            if not math.isfinite(value):
+                raise ParameterError(
+                    f"{path}: line {lineno}: not a finite value: {line!r}")
+            values.append(value)
     if not values:
         raise ParameterError(f"{path}: no sample values found")
-    return SampleSet(values=np.asarray(values))
+    return SampleSet(values=values)

@@ -292,6 +292,15 @@ def test_identify_names_the_bad_line(tmp_path):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "1e999"])
+def test_identify_names_the_non_finite_line(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"1.0\n2.0\n{text}\n")
+    code, _, err = run_cli("identify", str(path))
+    assert code == 1
+    assert str(path) in err and "line 3" in err
+
+
 def test_identify_missing_file(tmp_path):
     code, _, err = run_cli("identify", str(tmp_path / "absent.txt"))
     assert code == 1

@@ -1,6 +1,7 @@
 """Sample-side tests: the plug-in inactivity mean and the family ranker."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 
 from revrel.distributions import model_from_text
 from revrel.empirics import (
+    _FLOATS_MAX,
     DEFAULT_CANDIDATES,
     SampleSet,
+    _pairwise_sum,
     empirical_eit,
     gap_statistics,
     identify,
+    mc_expectation,
     read_samples,
     sample_inverse_cdf,
 )
@@ -43,6 +47,24 @@ def test_sample_set_rejects_bad_input():
         make_sample(1.0, math.inf)
     with pytest.raises(ParameterError):
         SampleSet(values=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("values", [[], [1.0, math.nan], (1.0, math.inf),
+                                    [[1.0, 2.0], [3.0, 4.0]]])
+def test_sample_set_rejects_bad_input_as_floats(values):
+    with pytest.raises(ParameterError):
+        SampleSet(values=values)
+
+
+def test_the_container_follows_the_input_type_and_size():
+    short = SampleSet(values=[3, 1.5, 2])
+    assert short.values == (1.5, 2.0, 3.0) and short.n == 3
+    assert all(type(v) is float for v in short.values)
+    assert isinstance(SampleSet(values=np.asarray([3.0, 1.5, 2.0])).values, np.ndarray)
+    at_cut = SampleSet(values=[1.0] * _FLOATS_MAX)
+    assert isinstance(at_cut.values, tuple) and at_cut.n == _FLOATS_MAX
+    past_cut = SampleSet(values=[1.0] * (_FLOATS_MAX + 1))
+    assert isinstance(past_cut.values, np.ndarray) and past_cut.n == _FLOATS_MAX + 1
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +150,76 @@ def test_every_catalog_quantile_takes_the_draw_array(model):
 
 
 # ---------------------------------------------------------------------------
+# the plain-float path against the ndarray path, bit for bit
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_pairwise_sum_matches_numpy_add_reduce():
+    rng = random.Random(2024)
+    for n in range(1, 1201):
+        scale = 10.0 ** rng.uniform(-5.0, 5.0)
+        xs = [rng.uniform(-1.0, 1.0) * scale * 10.0 ** rng.uniform(-3.0, 3.0)
+              for _ in range(n)]
+        if n % 7 == 0:
+            xs[rng.randrange(n)] = rng.choice([math.inf, -math.inf, math.nan])
+        assert repr(_pairwise_sum(xs)) == repr(float(np.add.reduce(np.asarray(xs)))), n
+    for xs in ([math.inf, -math.inf] + [1.0] * 20, [-0.0] * 9, [-0.0] * 200, []):
+        assert repr(_pairwise_sum(xs)) == repr(float(np.add.reduce(np.asarray(xs, dtype=float))))
+
+
+def _both(values):
+    arr = np.asarray(values, dtype=float)
+    floats = SampleSet(values=arr.tolist())
+    assert isinstance(floats.values, tuple)
+    return SampleSet(values=arr), floats
+
+
+def _same(f, arr_sample, float_sample, *args):
+    assert repr(f(float_sample, *args)) == repr(f(arr_sample, *args)), args
+
+
+@pytest.mark.parametrize("model", default_models(), ids=lambda m: m.spec.family)
+def test_float_path_matches_the_array_path(model):
+    for n in (50, 77, 129, 400, 2047):
+        arr_sample, float_sample = _both(sample_inverse_cdf(model, n, seed=n).values)
+        for trim in (0.0, 0.02, 0.05, 0.1):
+            _same(gap_statistics, arr_sample, float_sample, trim)
+            _same(identify, arr_sample, float_sample, trim)
+        vals = arr_sample.values
+        for t in [*vals[::97], vals[-1], (vals[0] + vals[1]) / 2, vals[-1] + 1.0]:
+            _same(empirical_eit, arr_sample, float_sample, float(t))
+
+
+@pytest.mark.parametrize("values", [
+    [0.0] * 10 + [0.5 + i / 80 for i in range(60)],       # ties at the minimum, at zero
+    [-1.0] * 10 + [-1.0 + i / 80 for i in range(1, 61)],  # negative ties: -inf terms
+    [-2.0 + i / 40 for i in range(120)],                  # crosses zero
+    [0.0] * 70,                                           # all zero: no x-weighted term
+    [3.0] * 5 + [-1e-300] * 5 + [7.5e-310] * 50,          # subnormal products
+])
+@pytest.mark.filterwarnings("ignore:Mean of empty slice")
+def test_float_path_matches_the_array_path_on_edge_samples(values):
+    arr_sample, float_sample = _both(values)
+    for trim in (0.0, 0.05, 0.1, 0.5):
+        _same(gap_statistics, arr_sample, float_sample, trim)
+        _same(identify, arr_sample, float_sample, trim)
+    for t in values:
+        _same(empirical_eit, arr_sample, float_sample, t)
+
+
+def test_edge_samples_reach_signed_infinities():
+    _, float_sample = _both([-1.0] * 10 + [-1.0 + i / 80 for i in range(1, 61)])
+    lhs = {g.theorem: g.lhs_hat for g in gap_statistics(float_sample, 0.0)}
+    assert lhs[TheoremId.T3_1] == math.inf
+    assert lhs[TheoremId.T3_2] == -math.inf
+
+
+def test_mc_expectation_takes_a_float_sample():
+    arr_sample, float_sample = _both([2.0, 0.5, 1.0, 4.0])
+    assert mc_expectation(float_sample, math.sqrt) == mc_expectation(arr_sample, math.sqrt)
+    assert mc_expectation(float_sample, lambda x: x) == (1.875, pytest.approx(0.7739, abs=1e-4))
+
+
+# ---------------------------------------------------------------------------
 # ranking
 
 def test_identify_picks_the_generator():
@@ -161,13 +253,21 @@ def test_read_samples_skips_comments_and_blanks(tmp_path):
     p = tmp_path / "sample.txt"
     p.write_text("# header\n1.5\n\n  2.5\n# interlude\n3.5\n")
     s = read_samples(p)
-    assert list(s.values) == [1.5, 2.5, 3.5]
+    assert s.values == (1.5, 2.5, 3.5)
 
 
 def test_read_samples_names_the_bad_line(tmp_path):
     p = tmp_path / "sample.txt"
     p.write_text("1.0\n2.0\nbanana\n")
     with pytest.raises(ParameterError, match="line 3"):
+        read_samples(p)
+
+
+@pytest.mark.parametrize("text", ["nan", "-inf", "1e999"])
+def test_read_samples_names_the_non_finite_line(tmp_path, text):
+    p = tmp_path / "sample.txt"
+    p.write_text(f"1.0\n2.0\n{text}\n")
+    with pytest.raises(ParameterError, match="line 3: not a finite value"):
         read_samples(p)
 
 

@@ -1,8 +1,9 @@
 """Module layering: every intra-package import sits at module level, the
 modules of ``revrel`` import each other without a cycle, nothing in the
 package loads scipy, which is a test-time reference only, and numpy loads
-only with the first array: importing the CLI, the default ``verify`` and
-``table`` on a closed-form scalar quantile leave it unloaded."""
+only with the first array: importing the CLI, the default ``verify``,
+``table`` on a closed-form scalar quantile and ``identify`` on a sample
+file leave it unloaded."""
 
 import ast
 import io
@@ -97,27 +98,34 @@ def test_import_loads_no_scipy_module():
     assert out.stdout.strip() == "[]"
 
 
-_REFUSE_SCIPY = """
+_REFUSE = """
 import sys
 
-class RefuseScipy:
+class Refuse:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ImportError("scipy refused: " + name)
+        if name.split(".")[0] == {package!r}:
+            raise ImportError({package!r} + " refused: " + name)
         return None
 
-sys.meta_path.insert(0, RefuseScipy())
+sys.meta_path.insert(0, Refuse())
 from revrel.cli import main
-sys.exit(main(["verify"]))
+sys.exit(main({argv!r}))
 """
 
 
 def test_default_verify_runs_with_scipy_imports_refused():
-    out = _run_python(_REFUSE_SCIPY)
+    out = _run_python(_REFUSE.format(package="scipy", argv=["verify"]))
     assert out.returncode == 0, out.stderr
     here = io.StringIO()
     assert main(["verify"], stdout=here, stderr=io.StringIO()) == 0
     assert out.stdout == here.getvalue()
+
+
+def test_identify_on_a_sample_file_runs_with_numpy_imports_refused():
+    argv = ["identify", str(DATA / "power_sample_400.txt")]
+    out = _run_python(_REFUSE.format(package="numpy", argv=argv))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (DATA / "power_sample_400_identify.json").read_text(encoding="utf-8")
 
 
 _NUMPY_FREE = """
@@ -143,7 +151,7 @@ def test_verify_and_closed_form_tables_load_no_numpy():
     assert out.stdout.strip() == "False"
 
 
-def test_identify_loads_numpy_and_keeps_its_output():
+def test_identify_loads_no_numpy_and_keeps_its_output():
     sample = DATA / "power_sample_400.txt"
     out = _run_python("import sys\n"
                       "from revrel.cli import main\n"
@@ -151,5 +159,5 @@ def test_identify_loads_numpy_and_keeps_its_output():
                       "sys.stderr.write(str('numpy' in sys.modules))\n"
                       "sys.exit(code)")
     assert out.returncode == 0, out.stderr
-    assert out.stderr == "True"
+    assert out.stderr == "False"
     assert out.stdout == (DATA / "power_sample_400_identify.json").read_text(encoding="utf-8")
