@@ -21,7 +21,9 @@ ordering inverts, while the underlying mean-product inequality keeps the
 single orientation ratio >= 1; the ratio form is therefore what gets
 classified and what the direction invariant quantifies over.
 
-Each check also knows its claimed equality family.  Four of the twenty
+Each check also knows its claimed equality family, and its equality rule
+reads a model's parent family (``distributions.parent_family``), so no rule
+spells out an alias such as uniform or truncevpower.  Four of the twenty
 (T3_2, T3_3, T3_6, T3_7) carry a ``suspect`` flag: equality in their
 reciprocal product needs w*eit to be constant, and no stated family has
 that.  On X >= 0 (T3_2, T3_3) it means eit = c/x**k, unbounded at 0+, while
@@ -54,6 +56,7 @@ from .distributions import (
     format_family,
     make_distribution,
     model_from_text,
+    parent_family,
 )
 from .errors import DivergentMoment, DomainError, ParameterError
 from .functionals import rai, raw_moment
@@ -131,7 +134,7 @@ _KIND_MOMENT = "moment-bound"
 _KIND_MIXED_ONE = "mixed-product-unit"
 _KIND_MIXED_MUSQ = "mixed-product-moment-sq"
 
-_EQ_TOL_DEFAULT = 1e-4
+_EQUALITY_BAND = 1e-4  # Equality is |ratio - 1| within it (ROADMAP item 16: error bars)
 
 
 @dataclass(frozen=True)
@@ -161,8 +164,6 @@ class CheckReport:
     gap: float
     ratio: float
     verdict: Verdict
-    eq_tol: float
-    tol: Tolerances
     components: Tuple[QuadResult, ...] = field(default_factory=tuple)
     suspect: bool = False
     expected_equality: bool = False
@@ -227,27 +228,15 @@ def _linear_coefficients(tid: TheoremId, alpha, beta) -> Dict[str, object]:
 
 
 def _constant_eit(c: CheckSpec, fam: str, p: Mapping[str, float]) -> bool:
-    return fam == "type3ev" or (fam == "linearmit" and p["beta"] == 0.0)
+    return fam == "linearmit" and p["beta"] == 0.0
 
 
 def _reflweibull_k(c: CheckSpec, fam: str, p: Mapping[str, float]) -> bool:
     return fam == "reflweibull" and p["k"] == float(c.k)
 
 
-def _at_base(base_family: str, e_family: str) -> Callable[..., bool]:
-    """(family, params, base) -> base_family at a_base = base, or its a = e member at e."""
-    return lambda fam, p, base: (fam == base_family and p["a_base"] == base) or (
-        fam == e_family and base == math.e)
-
-
-_BASE_A_RHR = _at_base("basealinkedrhr", "truncevpower")
-_BASE_A_EIT = _at_base("basealinkedeit", "explinkedeit")  # its a = e member has gamma = 1
-
-
 def _linear_eit(c: CheckSpec, fam: str, p: Mapping[str, float]) -> bool:
-    if fam == "linearmit":
-        return p["alpha"] * c.beta == p["beta"] * c.alpha
-    return (fam == "type3ev" and c.beta == 0.0) or (fam in ("power", "uniform") and c.alpha == 0.0)
+    return fam == "linearmit" and p["alpha"] * c.beta == p["beta"] * c.alpha
 
 
 # ----------------------------------------------------------- check table
@@ -262,7 +251,7 @@ class _Row:
     functional: str  # g of a product or moment bound, or rhr's partner in a mixed one
     weight: Callable  # check -> its x-weight data (p, alpha, beta, s), see above
     family: Tuple[str, Mapping[str, float]]  # equality family, free parameters, defaults
-    equality: Callable  # (check, family, its params) -> equality, or a suspect's claim
+    equality: Callable  # (check, parent family, its params) -> equality, or a suspect's claim
     params: Mapping[str, object] = field(default_factory=dict)  # taken, with defaults
     validate: Callable = lambda tid: {}  # checks params, returns CheckSpec fields
     # family parameters set by the check; a family with them takes its parameters
@@ -285,8 +274,7 @@ _ROWS: Dict[TheoremId, _Row] = {
                          _PRODUCT, _ANY, "rhr", _UNIT, _TYPE3EV, _constant_eit),
     TheoremId.T2_2: _Row("E[1/(X*rhr(X))] * E[X*rhr(X)] >= 1, X >= 0",
                          _PRODUCT, _NONNEG, "rhr", _X, _POWER,
-                         lambda c, fam, p: fam in ("power", "uniform") or (
-                             fam == "linearmit" and p["alpha"] == 0.0 and p["beta"] > 0.0)),
+                         lambda c, fam, p: fam == "linearmit" and p["alpha"] == 0.0 < p["beta"]),
     TheoremId.T2_4: _Row(
         "E[1/(X^{k}*rhr(X))] * E[X^{k}*rhr(X)] >= 1, X >= 0",
         _PRODUCT, _NONNEG, "rhr", _X_TO_K, ("invweibull", {"theta": 1.0}),
@@ -295,11 +283,11 @@ _ROWS: Dict[TheoremId, _Row] = {
         family_params=lambda c, v: {"nu": v["theta"] / (c.k - 1), "delta": float(c.k - 1)}),
     TheoremId.T2_5: _Row("E[1/(exp(X)*rhr(X))] * E[exp(X)*rhr(X)] >= 1",
                          _PRODUCT, _ANY, "rhr", _EXP_X, ("truncevpower", {"alpha": 1.5, "b": 0.0}),
-                         lambda c, fam, p: _BASE_A_RHR(fam, p, math.e)),
+                         lambda c, fam, p: fam == "basealinkedrhr" and p["a_base"] == math.e),
     TheoremId.T2_6: _Row(
         "E[1/({base:g}^X*rhr(X))] * E[{base:g}^X*rhr(X)] >= 1",
         _PRODUCT, _ANY, "rhr", _BASE_TO_X, ("basealinkedrhr", {"theta": 1.0, "b": 0.0}),
-        lambda c, fam, p: _BASE_A_RHR(fam, p, c.base),
+        lambda c, fam, p: fam == "basealinkedrhr" and p["a_base"] == c.base,
         params={"base": 2.0}, validate=_base_above_one, family_params=_WITH_BASE),
     TheoremId.T2_7: _Row("E[X*rhr(X)] >= 2*mu^2/(b^2 - mu_2)",
                          _MOMENT, _FINITE_B, "rhr", _X_TO_K, _TYPE3EV, _constant_eit,
@@ -328,7 +316,7 @@ _ROWS: Dict[TheoremId, _Row] = {
     TheoremId.T3_4: _Row(
         "E[eit(X)/X] * E[X/eit(X)] >= 1",
         _PRODUCT, _ANY, "eit", lambda c: (-1, 0.0, 1.0, 0.0), _POWER,
-        lambda c, fam, p: fam in ("power", "uniform") or (fam == "linearmit" and p["alpha"] == 0.0)),
+        lambda c, fam, p: fam == "linearmit" and p["alpha"] == 0.0),
     TheoremId.T3_5: _Row(
         "E[eit(X)/({alpha:g}+{beta:g}*X)] * E[({alpha:g}+{beta:g}*X)/eit(X)] >= 1",
         _PRODUCT, _ANY, "eit", lambda c: (-1, c.alpha, c.beta, 0.0),
@@ -336,13 +324,14 @@ _ROWS: Dict[TheoremId, _Row] = {
         params={"alpha": 1.0, "beta": 0.5}, validate=_linear_coefficients),
     TheoremId.T3_6: _Row("E[1/(exp(X)*eit(X))] * E[exp(X)*eit(X)] >= 1",
                          _PRODUCT, _ANY, "eit", _EXP_X, ("explinkedeit", {"theta": 1.0, "b": 0.0}),
-                         lambda c, fam, p: _BASE_A_EIT(fam, p, math.e) and p.get("gamma", 1) == 1,
+                         lambda c, fam, p: (fam == "basealinkedeit" and p["gamma"] == 1.0
+                                            and p["a_base"] == math.e),
                          suspect=True),
     TheoremId.T3_7: _Row(
         "E[1/({base:g}^X*eit(X))] * E[{base:g}^X*eit(X)] >= 1",
         _PRODUCT, _ANY, "eit", _BASE_TO_X,
         ("basealinkedeit", {"gamma": 1.0, "delta": 1.0, "b": 0.0}),
-        lambda c, fam, p: _BASE_A_EIT(fam, p, c.base),
+        lambda c, fam, p: fam == "basealinkedeit" and p["a_base"] == c.base,
         params={"base": 2.0}, validate=_base_above_one, family_params=_WITH_BASE,
         suspect=True),
     TheoremId.T4_1: _Row("E[eit(X)/rhr(X)] * E[rhr(X)/eit(X)] >= 1",
@@ -459,18 +448,17 @@ def expected_equality_pair(check: CheckSpec, model: DistributionModel) -> bool:
     weighted functional w(x)*g(x) is constant, the mixed products when
     the two functionals are proportional, and the moment bounds for the
     constant-rate family (resp. the reflected-power-rate family for the
-    reciprocal-x weights).  Members of other families that happen to
-    coincide (uniform = power with unit shape; linear-eit with zero
-    slope = constant rate) are included.  Suspect checks always return
+    reciprocal-x weights).  The rules read the model's parent family
+    (``distributions.parent_family``), so an alias such as uniform is
+    decided as the linearmit member it is.  Suspect checks always return
     False here.
     """
-    row = _row(check.id)
-    return not row.suspect and row.equality(check, model.spec.family, model.spec.params)
+    return not _row(check.id).suspect and claimed_equality_pair(check, model)
 
 
 def claimed_equality_pair(check: CheckSpec, model: DistributionModel) -> bool:
     """expected_equality_pair plus the suspect checks' printed claims."""
-    return _row(check.id).equality(check, model.spec.family, model.spec.params)
+    return _row(check.id).equality(check, *parent_family(model.spec))
 
 
 # --------------------------------------------------------- check runner
@@ -557,8 +545,7 @@ def _pole(check: CheckSpec, model: DistributionModel) -> Optional[str]:
 
 
 def run_check(check: CheckSpec, model: DistributionModel,
-              tol: Optional[Tolerances] = None,
-              eq_tol: float = _EQ_TOL_DEFAULT) -> CheckReport:
+              tol: Optional[Tolerances] = None) -> CheckReport:
     """Evaluate one check against one model and classify the outcome.
 
     All failure modes are verdicts, never exceptions: a support the
@@ -567,11 +554,10 @@ def run_check(check: CheckSpec, model: DistributionModel,
     DomainMismatch; any component integral or required moment that fails
     to converge is Divergent.
     """
-    if not eq_tol > 0.0:
-        raise ParameterError(f"eq_tol must be positive, got {eq_tol!r}")
     tol = tol or DEFAULT_TOL
-    expected = expected_equality_pair(check, model)
+    row = _row(check.id)
     claimed = claimed_equality_pair(check, model)
+    expected = claimed and not row.suspect
     nan = math.nan
 
     def report(verdict: Verdict, lhs: float = nan, rhs: float = nan,
@@ -579,8 +565,7 @@ def run_check(check: CheckSpec, model: DistributionModel,
                components: Tuple[QuadResult, ...] = (), note: str = "") -> CheckReport:
         return CheckReport(
             theorem=check.id, family=model.spec, lhs=lhs, rhs=rhs, gap=gap,
-            ratio=ratio, verdict=verdict, eq_tol=eq_tol, tol=tol,
-            components=components, suspect=check.suspect,
+            ratio=ratio, verdict=verdict, components=components, suspect=check.suspect,
             expected_equality=expected, claimed_equality=claimed, note=note)
 
     mismatch = _support_mismatch(check, model)
@@ -597,7 +582,6 @@ def run_check(check: CheckSpec, model: DistributionModel,
     if pole is not None:
         return report(Verdict.DomainMismatch, note=pole)
 
-    row = _row(check.id)
     sign = _weight(check)[1]
     names = (row.functional,)
     if check.kind != _KIND_PRODUCT and check.kind != _KIND_MOMENT:
@@ -617,7 +601,7 @@ def run_check(check: CheckSpec, model: DistributionModel,
         lhs *= r.value
     gap = lhs - rhs
     ratio = lhs / rhs
-    if abs(ratio - 1.0) <= eq_tol:
+    if abs(ratio - 1.0) <= _EQUALITY_BAND:
         verdict = Verdict.Equality
     elif ratio > 1.0:
         verdict = Verdict.StrictInequality
@@ -629,14 +613,13 @@ def run_check(check: CheckSpec, model: DistributionModel,
 
 def run_matrix(models: Optional[Sequence[DistributionModel]] = None,
                checks: Optional[Sequence[CheckSpec]] = None,
-               tol: Optional[Tolerances] = None,
-               eq_tol: float = _EQ_TOL_DEFAULT) -> Tuple[CheckReport, ...]:
+               tol: Optional[Tolerances] = None) -> Tuple[CheckReport, ...]:
     """Cross-product of checks x models, check-major then model-minor."""
     if models is None:
         models = default_models()
     if checks is None:
         checks = theorem_catalog()
-    return tuple(run_check(c, m, tol, eq_tol) for c in checks for m in models)
+    return tuple(run_check(c, m, tol) for c in checks for m in models)
 
 
 # --------------------------------------------------------- serialization

@@ -74,9 +74,6 @@ _FLAGS = {
                    help="table grid size (>= 8)"),
     "--rel-tol": dict(type=_checked(float, lambda v: v > 0.0, "be positive"),
                       dest="rel_tol", default=1e-9),
-    "--eq-tol": dict(type=_checked(float, lambda v: v > 0.0, "be positive"),
-                     dest="eq_tol", default=1e-4,
-                     help="relative half-width of the equality band"),
     "--trim": dict(type=_checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
                    default=0.05,
                    help="fraction of the sample head excluded from gap statistics"),
@@ -91,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the flags it reads
     for name, help_text, fmt, flags in (
             ("verify", "run the inequality check matrix", "json",
-             ("--family", "--theorem", "--rel-tol", "--eq-tol")),
+             ("--family", "--theorem", "--rel-tol")),
             ("table", "tabulate the functionals of one family", "csv", ("--family", "--grid")),
             ("identify", "rank candidate families for a sample", "json", ("--trim",))):
         p = sub.add_parser(name, help=help_text)
@@ -144,8 +141,7 @@ def _selected_models(args: argparse.Namespace):
 
 def cmd_verify(args: argparse.Namespace, stdout: TextIO, stderr: TextIO) -> int:
     tol = Tolerances(rel_tol=args.rel_tol)
-    reports = run_matrix(_selected_models(args), _selected_checks(args),
-                         tol, args.eq_tol)
+    reports = run_matrix(_selected_models(args), _selected_checks(args), tol)
     text = reports_to_json(reports) if args.fmt == "json" else reports_to_csv(reports)
     _emit(text, args.out, stdout)
 

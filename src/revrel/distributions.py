@@ -34,11 +34,11 @@ expectation on a model then runs each closure once per abscissa, at about
 Each family is one row of ``_FAMILIES``: its builder and its parameters in
 canonical order with their admissible ranges. ``make_distribution`` checks
 a parameter set against the row; a builder only checks constraints that
-tie parameters together. A family that is another's member is built by
-that family's builder: power is linearmit at alpha = 0 and beta = 1 with
-exponent c, uniform is power at c = 1, truncevpower is basealinkedrhr at
-a_base = e, explinkedeit is basealinkedeit at gamma = 1 and a_base = e
-(log e is exactly 1, so the two spellings give the same bits). The catalog
+tie parameters together. ``_ALIASES`` says which five families are members
+of another, and at what parameters (``parent_family``); the checks' equality
+rules read only the parent. truncevpower and explinkedeit are built from it,
+as log e is exactly 1; the linearmit members type3ev, power and uniform keep
+builders of their own, whose bits differ from their parent's. The catalog
 covers every family that appears as an equality case in the check matrix,
 plus a uniform model that serves as the standard divergence probe.
 """
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ._e1_table import E1_OCTAVES
 from .errors import DivergentMoment, DomainError, ParameterError
@@ -411,11 +411,6 @@ def _build_invweibull(spec, nu, delta):
     )
 
 
-def _build_truncevpower(spec, alpha, b):
-    # basealinkedrhr at a_base = e: log(e) is exactly 1, so every product with it is exact
-    return _build_basealinkedrhr(spec, alpha, math.e, b)
-
-
 def _build_basealinkedrhr(spec, theta, a_base, b):
     """log F(t) = -theta*(a^-t - a^-b); rhr(t) = theta*ln(a)*a^-t."""
     ln_a = math.log(a_base)
@@ -672,11 +667,6 @@ def _linearmit_closures(spec, xi, alpha, beta, b, q):
     )
 
 
-def _build_explinkedeit(spec, theta, b):
-    # basealinkedeit at gamma = 1, a_base = e, where its eit has the closed form
-    return _build_basealinkedeit(spec, 1.0, theta, math.e, b)
-
-
 def _build_basealinkedeit(spec, gamma, delta, a_base, b):
     """log F(t) = gamma*(t - b) + delta*(a^t - a^b); rhr(t) = gamma + delta*ln(a)*a^t."""
     ln_a = math.log(a_base)
@@ -712,6 +702,30 @@ def _build_basealinkedeit(spec, gamma, delta, a_base, b):
     )
 
 
+# alias family -> (parent family, alias parameters -> the parent's, in its order)
+_ALIASES = {
+    "type3ev": ("linearmit", lambda gamma, b: (1.0 / gamma, 1.0, 0.0, b)),  # xi alpha beta b
+    "power": ("linearmit", lambda b, c: (1.0 / (c + 1.0), 0.0, 1.0, b)),
+    "uniform": ("linearmit", lambda b: (0.5, 0.0, 1.0, b)),
+    "truncevpower": ("basealinkedrhr", lambda alpha, b: (alpha, math.e, b)),  # theta a_base b
+    "explinkedeit": ("basealinkedeit", lambda theta, b: (1.0, theta, math.e, b)),
+}
+
+
+def parent_family(spec: FamilySpec) -> Tuple[str, Mapping[str, float]]:
+    """(family, params) of a canonical spec's parent at its member, or of the spec itself."""
+    if spec.family not in _ALIASES:
+        return spec.family, spec.params
+    parent, to_parent = _ALIASES[spec.family]
+    return parent, dict(zip(_FAMILIES[parent][1], to_parent(**spec.params)))
+
+
+def _as_parent(alias):
+    """An alias's builder: its parent's builder at the parent's parameters."""
+    parent, to_parent = _ALIASES[alias]
+    return lambda spec, **values: _FAMILIES[parent][0](spec, *to_parent(**values))
+
+
 # admissible-range rules: (what the message says, test, value handed to the builder)
 _POSITIVE = ("> 0", lambda v: 0.0 < v < math.inf, float)
 _FINITE = ("finite", math.isfinite, float)
@@ -724,14 +738,14 @@ _FAMILIES = {
     "type3ev": (_constant_rate, {"gamma": _POSITIVE, "b": _FINITE}),
     "power": (_build_power, {"b": _POSITIVE, "c": _POSITIVE}),
     "invweibull": (_build_invweibull, {"nu": _POSITIVE, "delta": _POSITIVE}),
-    "truncevpower": (_build_truncevpower, {"alpha": _POSITIVE, "b": _FINITE}),
+    "truncevpower": (_as_parent("truncevpower"), {"alpha": _POSITIVE, "b": _FINITE}),
     "basealinkedrhr": (_build_basealinkedrhr,
                        {"theta": _POSITIVE, "a_base": _ABOVE_ONE, "b": _FINITE}),
     "reflweibull": (_build_reflweibull, {"theta": _POSITIVE, "k": _ODD_INTEGER}),
     "finiterange": (_build_finiterange, {"theta": _POSITIVE, "b": _POSITIVE, "k": _INTEGER}),
     "linearmit": (_build_linearmit,
                   {"xi": _POSITIVE, "alpha": _FINITE, "beta": _FINITE, "b": _FINITE}),
-    "explinkedeit": (_build_explinkedeit, {"theta": _POSITIVE, "b": _FINITE}),
+    "explinkedeit": (_as_parent("explinkedeit"), {"theta": _POSITIVE, "b": _FINITE}),
     "basealinkedeit": (_build_basealinkedeit, {"gamma": _POSITIVE, "delta": _POSITIVE,
                                                "a_base": _ABOVE_ONE, "b": _FINITE}),
     "uniform": (_build_uniform, {"b": _POSITIVE}),

@@ -21,8 +21,9 @@ on it in plain Python without loading numpy (a cold ``revrel identify``
 on a sample file is mostly numpy's import otherwise); an ndarray or a
 longer sequence becomes a sorted float64 array.  The tuple path repeats
 numpy's operations one by one, its pairwise summation included, so both
-give the same floats bit for bit.  The one exception is where +0.0 and
--0.0 sit among each other, which ``np.sort`` leaves unspecified.
+give the same floats bit for bit.  Both store -0.0 as +0.0: sorting leaves
+the order of the two zeros to the input, and with it the sign of m-hat at
+a zero order statistic.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class SampleSet:
     def __post_init__(self) -> None:
         if isinstance(self.values, (list, tuple)) and len(self.values) <= _FLOATS_MAX:
             try:
-                floats = tuple(sorted(map(float, self.values)))
+                floats = tuple(sorted(float(v) + 0.0 for v in self.values))  # -0.0 + 0.0 is +0.0
             except TypeError:
                 raise ParameterError("sample must be a nonempty 1-d array")
             if not floats:
@@ -99,7 +100,9 @@ class SampleSet:
             raise ParameterError("sample must be a nonempty 1-d array")
         if not np.all(np.isfinite(arr)):
             raise ParameterError("sample values must all be finite")
-        object.__setattr__(self, "values", np.sort(arr))
+        values = np.sort(arr)
+        values += 0.0  # in place on the sorted copy: -0.0 becomes +0.0
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -247,6 +250,8 @@ def gap_statistics(sample: SampleSet, trim: float = 0.05) -> Tuple[GapStatistic,
         raise TooFewPoints(f"need at least 50 points, got {n}")
     vals = sample.values
     start = max(math.ceil(trim * n) + 1, 2)  # 1-based order statistic index
+    if start > n:
+        raise TooFewPoints(f"trim {trim!r} leaves none of the {n} order statistics")
     if isinstance(vals, tuple):
         return _float_gap_statistics(vals, start, trim)
     m_hat = _eit_at_order_statistics(vals)

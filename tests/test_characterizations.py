@@ -397,12 +397,6 @@ def test_finiterange_inactivity_product_keeps_its_value():
     assert r.ratio == pytest.approx(1.0211315264855627, rel=1e-9)
 
 
-def test_run_check_rejects_nonpositive_eq_tol():
-    with pytest.raises(ParameterError):
-        run_check(make_check(TheoremId.T2_1), model_from_text("power:b=1,c=2"),
-                  eq_tol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # the full matrix against the frozen grid
 
@@ -444,6 +438,21 @@ def test_matrix_verdict_counts(matrix_run):
     assert counts[Verdict.Divergent] == 67
     assert counts[Verdict.DomainMismatch] == 40
     assert counts.get(Verdict.Violation, 0) == 0
+
+
+def test_reciprocal_products_hold_to_their_error_bars(matrix_run):
+    # Cauchy-Schwarz: E[1/u] * E[u] >= 1 for every positive u, so a converged
+    # reciprocal-product or unit mixed-product cell may fall below 1 only by
+    # the sum of its components' relative error estimates
+    reports, _ = matrix_run
+    kinds = {c.id: c.kind for c in theorem_catalog()}
+    cells = [r for r in reports
+             if kinds[r.theorem] in ("product", "mixed-product-unit")
+             and r.verdict not in (Verdict.Divergent, Verdict.DomainMismatch)]
+    assert len(cells) == 75
+    for r in cells:
+        bar = sum(c.err_estimate / abs(c.value) for c in r.components)
+        assert r.ratio >= 1.0 - bar, f"{r.theorem.value} x {r.family.family}"
 
 
 def _linearmit_rai_ratios():

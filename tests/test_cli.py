@@ -63,13 +63,12 @@ def test_verify_csv_format():
 
 
 def test_verify_exit_two_when_an_asserted_equality_misses():
-    # an equality band far below float precision forces the asserted
-    # Equality row to land StrictInequality, which must fail the run
-    code, _, err = run_cli("verify", "--theorem", "T2_1",
-                           "--family", "type3ev:gamma=1,b=0",
-                           "--eq-tol", "1e-18")
+    # T2_7 asserts equality on the constant-rate family, but at gamma = 1, b = 1
+    # its right-hand side b^2 - mu_2 is 0: a DomainMismatch, which must fail the run
+    code, _, err = run_cli("verify", "--theorem", "T2_7",
+                           "--family", "type3ev:gamma=1,b=1")
     assert code == 2
-    assert "FAIL" in err
+    assert "FAIL T2_7 on type3ev: DomainMismatch" in err
 
 
 def test_verify_suspect_rows_never_fail_the_run():
@@ -117,7 +116,6 @@ def test_default_verify_matches_its_golden_file(tmp_path):
 # config errors
 
 @pytest.mark.parametrize("argv,needle", (
-    (("verify", "--eq-tol", "-1"), "eq-tol"),
     (("verify", "--rel-tol", "0"), "rel-tol"),
     (("verify", "--family", "notafam:x=1"), "notafam"),
     (("verify", "--theorem", "T9_9"), "T9_9"),
@@ -129,6 +127,8 @@ def test_default_verify_matches_its_golden_file(tmp_path):
     (("verify", "--grid", "9"), "--grid"),
     (("table", "--family", "power:b=1,c=2", "--theorem", "T2_1"), "--theorem"),
     (("identify", "nowhere.txt", "--seed", "3"), "--seed"),
+    # the equality band is fixed, not an option
+    (("verify", "--eq-tol", "1e-3"), "--eq-tol"),
     # parameters inside each single range whose values leave float range
     (("table", "--family", "explinkedeit:theta=1,b=1000"), "explinkedeit"),
     # a model that builds but whose pdf overflows on the grid
@@ -282,6 +282,14 @@ def test_identify_too_few_points(tmp_path):
     code, _, err = run_cli("identify", str(path))
     assert code == 1
     assert "50" in err
+
+
+def test_identify_exits_one_when_the_trim_leaves_no_order_statistic(tmp_path):
+    path = tmp_path / "fifty.txt"
+    path.write_text("".join(f"{v + 1}\n" for v in range(50)))
+    code, _, err = run_cli("identify", str(path), "--trim", "0.99")
+    assert code == 1
+    assert "order statistics" in err
 
 
 def test_identify_names_the_bad_line(tmp_path):

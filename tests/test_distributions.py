@@ -32,6 +32,7 @@ from revrel.distributions import (
     format_family,
     make_distribution,
     model_from_text,
+    parent_family,
     parse_family,
     quantile_at,
 )
@@ -423,6 +424,25 @@ def test_parse_format_roundtrip_over_catalog():
         assert format_family(parse_family(text)) == text
 
 
+@pytest.mark.parametrize("text", [
+    "type3ev:gamma=2,b=0.5", "power:b=1.5,c=3", "uniform:b=2",
+    "truncevpower:alpha=1.5,b=0", "explinkedeit:theta=0.7,b=1",
+])
+def test_an_alias_is_its_parent_family_member(text):
+    # the equality rules read only parent families, so the alias table must
+    # name the member each alias is
+    alias = model_from_text(text)
+    family, params = parent_family(alias.spec)
+    assert family != alias.spec.family
+    parent = make_distribution(FamilySpec(family, params))
+    assert parent.support == alias.support
+    for p in (0.1, 0.5, 0.9):
+        t = alias.quantile(p)
+        for name in ("cdf", "rhr", "eit"):
+            want = getattr(alias, name)(t)
+            assert getattr(parent, name)(t) == pytest.approx(want, rel=1e-12), (name, p)
+
+
 def test_parse_family_is_case_and_order_insensitive():
     a = make_distribution(parse_family("POWER:C=2,B=1"))
     b = make_distribution(parse_family("power:b=1,c=2"))
@@ -642,6 +662,19 @@ def test_invweibull_eit_where_gamma_of_its_order_leaves_float_range(text, t):
         log_want = float(mpmath.log(want))
     assert model.eit(t) == pytest.approx(float(want), rel=1e-12)
     assert model.log_eit(t) == pytest.approx(log_want, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("theta", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
+def test_reflweibull_eit_past_k_one_matches_mpmath(k, theta):
+    # k > 1 leaves the erfcx closed form for Gamma(s, z) exp(z), s = 1/(k+1)
+    model = model_from_text(f"reflweibull:theta={theta},k={k}")
+    for t in (-30.0, -3.0, -0.3, -1e-5, -1e-20, -1e-80):
+        with mpmath.workdps(40):
+            s = mpmath.mpf(1) / (k + 1)
+            z = mpmath.mpf(theta) * mpmath.mpf(-t) ** (k + 1)
+            want = s * mpmath.mpf(theta) ** -s * mpmath.gammainc(s, z) * mpmath.exp(z)
+        assert model.eit(t) == pytest.approx(float(want), rel=1e-13), t
 
 
 def test_basealinkedeit_eit_past_the_series_overflow():

@@ -116,6 +116,14 @@ def test_gap_statistics_trim_validation():
             gap_statistics(s, trim=trim)
 
 
+def test_gap_statistics_raises_when_the_trim_leaves_no_order_statistic():
+    s = SampleSet(values=np.linspace(1.0, 2.0, 50))
+    for sample in (s, SampleSet(values=list(s.values))):
+        with pytest.raises(TooFewPoints):
+            gap_statistics(sample, trim=0.99)  # ceil(49.5) + 1 = 51 > 50
+        assert len(gap_statistics(sample, trim=0.97)) == 3  # the 50th alone remains
+
+
 def test_gap_statistics_covers_three_checks():
     s = SampleSet(values=np.linspace(1.0, 2.0, 100))
     stats = gap_statistics(s)
@@ -204,6 +212,22 @@ def test_float_path_matches_the_array_path_on_edge_samples(values):
         _same(identify, arr_sample, float_sample, trim)
     for t in values:
         _same(empirical_eit, arr_sample, float_sample, t)
+
+
+def test_signed_zeros_give_one_result_in_any_order():
+    # m-hat at a zero order statistic is +0.0 or -0.0 by the order the zeros
+    # sorted in; stored as +0.0, every order gives the same statistics
+    rng = random.Random(22)
+    values = [0.0] * 20 + [-0.0] * 20 + [rng.uniform(0.1, 2.0) for _ in range(60)]
+    seen = set()
+    for _ in range(20):
+        rng.shuffle(values)
+        arr_sample, float_sample = _both(values)
+        assert math.copysign(1.0, arr_sample.values[0]) == 1.0
+        assert math.copysign(1.0, float_sample.values[0]) == 1.0
+        seen.add(repr(gap_statistics(arr_sample)))
+        seen.add(repr(gap_statistics(float_sample)))
+    assert len(seen) == 1
 
 
 def test_edge_samples_reach_signed_infinities():
