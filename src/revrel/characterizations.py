@@ -47,7 +47,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .distributions import (
@@ -59,7 +58,7 @@ from .distributions import (
     parent_family,
 )
 from .errors import DivergentMoment, DomainError, ParameterError
-from .functionals import rai, raw_moment
+from .functionals import raw_moment
 from .quadrature import (
     DEFAULT_TOL,
     ExpectationSpec,
@@ -67,7 +66,6 @@ from .quadrature import (
     QuadStatus,
     Tolerances,
     expectation,
-    positive,
 )
 
 __all__ = [
@@ -151,9 +149,6 @@ class CheckSpec:
     beta: Optional[float] = None
     suspect: bool = False
 
-    def lhs_weights(self, model: DistributionModel) -> Tuple[Callable[..., float], ...]:
-        return _factors(self)
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -171,15 +166,6 @@ class CheckReport:
     note: str = ""
 
 
-def _log_functional(model: DistributionModel, name: str) -> Callable[[float], float]:
-    """x -> log of rhr, eit or rai: a log-native twin if any; rai falls back to functionals.rai."""
-    native = getattr(model, "log_" + name, None)
-    if native is not None:
-        return native
-    closed = getattr(model, name) or partial(rai, model)
-    return lambda x, log=math.log: log(closed(x))
-
-
 # ------------------------------------------------------------- x-weights
 #
 # Factor integrands are assembled in log-magnitude space with an explicit
@@ -187,12 +173,12 @@ def _log_functional(model: DistributionModel, name: str) -> Callable[[float], fl
 # the value does: x^2 underflows to 0 around 1e-154 and the reciprocal
 # becomes inf at nodes where the true weight (1/(c*x) after cancellation)
 # is perfectly representable, which the engine then misreads as an
-# endpoint blow-up.  A factor is therefore x -> log|w(x)|, a sum of logs
-# that the engine adds to log_pdf and exponentiates once, so the integrand
-# leaves float range only where the weighted density itself does.
+# endpoint blow-up.  A factor is therefore a sum of logs that the engine
+# adds to log_pdf and exponentiates once, so the integrand leaves float
+# range only where the weighted density itself does.
 # A check's x-weight is data (p, alpha, beta, s), p an integer and p or s 0:
-# w(x) = (alpha+beta*x)^p * e^(s*x).  ``_weight`` builds log|w| and the sign
-# of w from it, and every factor of the check shares that sign.
+# w(x) = (alpha+beta*x)^p * e^(s*x).  ``_components`` hands it to
+# ``expectation`` with the log functionals each factor adds or subtracts.
 
 _UNIT = lambda c: (0, 0.0, 1.0, 0.0)
 _X = lambda c: (1, 0.0, 1.0, 0.0)
@@ -463,36 +449,22 @@ def claimed_equality_pair(check: CheckSpec, model: DistributionModel) -> bool:
 
 # --------------------------------------------------------- check runner
 
-def _weight(check: CheckSpec) -> Tuple[Callable[[float], float], Callable[[float], float]]:
-    """(x -> log|w(x)|, x -> sign of w(x)) from the check's x-weight data, one closure per shape."""
-    p, a, bt, s = _row(check.id).weight(check)
-    if p == 0:
-        return ((lambda x: x * s) if s else (lambda x: 0.0)), positive
-    if a == 0.0 and bt == 1.0:  # a power of x: no alpha+beta*x per node
-        log_w = lambda x, log=math.log: p * log(abs(x))
-        sign = lambda x: 1.0 if x > 0.0 else -1.0
-    else:
-        log_w = lambda x, log=math.log: p * log(abs(a + bt * x))
-        sign = lambda x: 1.0 if a + bt * x > 0.0 else -1.0
-    return log_w, (positive if p % 2 == 0 else sign)
+def _components(check: CheckSpec, model: DistributionModel) -> Tuple[ExpectationSpec, ...]:
+    """The check's left-hand side as expectation data, g the row's functional.
 
-
-def _factors(check: CheckSpec) -> Tuple[Callable[..., float], ...]:
-    """The check's factor weights as (x, lg, lphi) -> log|w(x)|; their sign is the weight's.
-
-    lg is the log of the row's functional at x and lphi that of rhr: the
-    columns ``run_check`` names, which expectation reads from the model's
-    column table.
+    A moment bound is E[w*g]; a product E[1/(w*g)] and E[w*g]; a mixed
+    product E[w*g/rhr] and E[w*rhr/g].  Each adds its logs in that order.
     """
-    lw = _weight(check)[0]
-    if check.kind == _KIND_PRODUCT or check.kind == _KIND_MOMENT:
-        plus = lambda x, lg, _: lw(x) + lg
-        if check.kind == _KIND_MOMENT:
-            return (plus,)
-        return (lambda x, lg, _: -lw(x) - lg, plus)
-    # mixed products: the row's functional over rhr
-    return (lambda x, lg, lphi: lw(x) + lg - lphi,
-            lambda x, lg, lphi: lw(x) + lphi - lg)
+    row = _row(check.id)
+    p, a, bt, s = w = row.weight(check)
+    g = row.functional
+    if check.kind == _KIND_MOMENT:
+        parts = ((w, ((g, 1.0),)),)
+    elif check.kind == _KIND_PRODUCT:
+        parts = (((-p, a, bt, -s), ((g, -1.0),)), (w, ((g, 1.0),)))
+    else:
+        parts = ((w, ((g, 1.0), ("rhr", -1.0))), (w, (("rhr", 1.0), (g, -1.0))))
+    return tuple(ExpectationSpec(model, None, x_weight, columns) for x_weight, columns in parts)
 
 
 def _rhs(check: CheckSpec, model: DistributionModel) -> float:
@@ -582,13 +554,7 @@ def run_check(check: CheckSpec, model: DistributionModel,
     if pole is not None:
         return report(Verdict.DomainMismatch, note=pole)
 
-    sign = _weight(check)[1]
-    names = (row.functional,)
-    if check.kind != _KIND_PRODUCT and check.kind != _KIND_MOMENT:
-        names += ("rhr",)  # a mixed product: the row's functional over rhr
-    columns = tuple((name, _log_functional(model, name)) for name in names)
-    results = tuple(expectation(ExpectationSpec(model, w, sign, columns), tol)
-                    for w in check.lhs_weights(model))
+    results = tuple(expectation(spec, tol) for spec in _components(check, model))
     bad = [r for r in results if r.status is not QuadStatus.Converged]
     if bad:
         note = "; ".join(f"component {i} {r.status.value}"

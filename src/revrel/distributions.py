@@ -25,9 +25,10 @@ and finiterange's eit, 0/0 where t**k underflows.
 Each model also keeps a column table (``quadrature.ColumnTable``), private
 and empty at first: log_pdf, log rhr, log eit and log rai by abscissa, as
 far as ``quadrature.expectation`` has read them for the checks' weights and
-the raw moments. A log functional is computed only where log_pdf is finite
-and only once a weight needs it, a raise stores nothing, and
-``dataclasses.replace`` starts a new model with an empty table. Every
+the raw moments, and the result of each raw moment integrated. A log
+functional (``DistributionModel.log_functional``) is computed only where
+log_pdf is finite and only once a weight needs it, a raise stores nothing,
+and ``dataclasses.replace`` starts a new model with an empty table. Every
 expectation on a model then runs each closure once per abscissa, at about
 200 bytes an abscissa.
 
@@ -105,9 +106,26 @@ class DistributionModel:
     log_rhr: Optional[Callable[[float], float]] = None
     log_eit: Optional[Callable[[float], float]] = None
     # log_pdf and the log functionals by abscissa, as far as expectations have
-    # read them (quadrature.expectation); replace() starts an empty one
+    # read them (quadrature.expectation), and the integrated raw moments;
+    # replace() starts an empty one
     _columns: ColumnTable = field(
         default_factory=ColumnTable, init=False, repr=False, compare=False)
+
+    def rai_from_log_cdf(self, t: float) -> float:
+        """(t - b)*rhr(t)/log F(t) below a finite b, 1.0 where |log F| < 1e-12 (the t -> b limit)."""
+        log_cdf = self.log_cdf(t)
+        if abs(log_cdf) < 1e-12:
+            return 1.0
+        return (t - self.support.upper) * float(self.rhr(t)) / log_cdf
+
+    def log_functional(self, name: str) -> Callable[[float], float]:
+        """x -> log of rhr, eit or rai inside the support: the log-native twin if
+        any, else the log of the closure; rai without one from the log cdf."""
+        native = getattr(self, "log_" + name, None)
+        if native is not None:
+            return native
+        closed = getattr(self, name) or self.rai_from_log_cdf
+        return lambda x, log=math.log: log(closed(x))
 
 
 # ---------------------------------------------------------------------------

@@ -87,15 +87,18 @@ class SampleSet:
         if isinstance(self.values, (list, tuple)) and len(self.values) <= _FLOATS_MAX:
             try:
                 floats = tuple(sorted(float(v) + 0.0 for v in self.values))  # -0.0 + 0.0 is +0.0
-            except TypeError:
-                raise ParameterError("sample must be a nonempty 1-d array")
+            except (TypeError, ValueError):
+                raise ParameterError("sample must be a nonempty 1-d array of numbers")
             if not floats:
                 raise ParameterError("sample must be a nonempty 1-d array")
             if not all(map(math.isfinite, floats)):
                 raise ParameterError("sample values must all be finite")
             object.__setattr__(self, "values", floats)
             return
-        arr = np.asarray(self.values, dtype=float)
+        try:
+            arr = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError):
+            raise ParameterError("sample must be a nonempty 1-d array of numbers")
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("sample must be a nonempty 1-d array")
         if not np.all(np.isfinite(arr)):

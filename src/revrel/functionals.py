@@ -123,7 +123,7 @@ def _rai_upper(model: DistributionModel, t: float) -> float:
     upper = model.support.upper
     if not math.isfinite(upper):
         raise UnboundedSupport("reversed aging intensity needs a finite upper endpoint")
-    if t <= model.support.lower:
+    if not t > model.support.lower:
         raise SupportError(
             f"t={t!r} outside support ({model.support.lower!r}, {upper!r}]")
     return upper
@@ -138,12 +138,7 @@ def rai(model: DistributionModel, t: float) -> float:
     upper = _rai_upper(model, t)
     if t >= upper:
         return 0.0
-    if model.rai is not None:
-        return float(model.rai(t))
-    log_cdf_val = model.log_cdf(t)
-    if abs(log_cdf_val) < 1e-12:
-        return 1.0
-    return (t - upper) * rhr(model, t) / log_cdf_val
+    return float((model.rai or model.rai_from_log_cdf)(t))
 
 
 def _offset_integral(f, a: float, sign: float, length: float, tol: Tolerances) -> float:
@@ -223,11 +218,18 @@ def cdf_from_rhr(model: DistributionModel, t: float,
 
 
 def raw_moment(model: DistributionModel, r: int) -> float:
-    """E[X^r], preferring the family's closed form where it has one for this r."""
+    """E[X^r], preferring the family's closed form where it has one for this r.
+
+    An integrated moment's QuadResult, converged or not, is kept in the
+    model's column table by order, so each (model, r) is integrated once.
+    """
     closed = None if model.moments is None else model.moments(r)
     if closed is not None:
         return float(closed)
-    res = expectation(ExpectationSpec(model, lambda x: x ** r))
+    kept = model._columns.moments
+    res = kept.get(r)
+    if res is None:
+        res = kept[r] = expectation(ExpectationSpec(model, lambda x: x ** r))
     if res.status is not QuadStatus.Converged:
         raise DivergentMoment(
             f"moment of order {r} did not converge for {format_family(model.spec)}")

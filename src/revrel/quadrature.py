@@ -36,12 +36,15 @@ rule differs: a finite interval is halved, a half line peels off a finite
 chunk next to its anchor. ``expectation`` integrates in log space. Sampling
 lives in ``empirics``.
 
-``expectation`` reads log_pdf, and the log functionals a weight names,
-from the model's ``ColumnTable``: one dict read per node, each value
-computed at the first read of its abscissa by any weight on the model and
-then kept, so a wrapped weight and a moment's plain weight read the same
-rows as the checks. A pass maps a raise in its integrand itself, in its
-node loop, and a raise is never kept in a table.
+``expectation`` takes a check's weight as data (``ExpectationSpec``): an
+x-weight (p, alpha, beta, s) and the log functionals it adds or subtracts,
+from which one integrand computes log|w| and its sign inline, one Python
+call per node. It reads log_pdf and those log functionals from the model's
+``ColumnTable``: one dict read per node, each value computed at the first
+read of its abscissa by any expectation on the model and then kept, so a
+raw moment's plain weight reads the same rows as the checks. A pass maps a
+raise in its integrand itself, in its node loop, and a raise is never kept
+in a table.
 
 A pass evaluates only where the integrand is alive. Levels 0 to 3 (97
 nodes, the fewest a pass converges on) run in full. Each later level
@@ -94,27 +97,23 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class ExpectationSpec:
-    """E[w(X)] against a model: weight is w, or log|w| when sign (x -> +/-1.0) is given.
+    """E[w(X)] against a model, for a plain weight w or for weight data.
 
-    A signed weight is (x, a, b) -> log|w(x)|, where a and b are the values
-    at x of the log functionals that columns names as (name, x -> log
-    functional) pairs: one pair gives a = b, and none gives a = b =
-    log_pdf(x). A sign of ``positive`` marks a weight positive everywhere.
+    A plain weight is a callable x -> w(x).  The data are an x-weight
+    (p, alpha, beta, s), w(x) = (alpha + beta*x)**p * exp(s*x) with p an
+    integer and p or s 0, and the log functionals the weight is multiplied
+    by: one or two (column name, +1.0 or -1.0) pairs, in the order their
+    logs are added to log|w|.  E[1/w] is the x-weight (-p, alpha, beta, -s).
     """
 
     model: object
-    weight: Callable[..., float]
-    sign: Optional[Callable[[float], float]] = None
-    columns: Tuple[Tuple[str, Callable[[float], float]], ...] = ()
+    weight: Optional[Callable[[float], float]] = None
+    x_weight: Tuple[int, float, float, float] = (0, 0.0, 1.0, 0.0)
+    columns: Tuple[Tuple[str, float], ...] = ()
 
 
-def positive(x: float) -> float:
-    """The sign of a weight positive everywhere; expectation skips multiplying by it."""
-    return 1.0
-
-
-# The columns of a column table, by name; column 0 is log_pdf
-_COLUMN_SLOTS = {"log_pdf": 0, "rhr": 1, "eit": 2, "rai": 3}
+# The log functionals' columns of a column table, by name; column 0 is log_pdf
+_COLUMN_SLOTS = {"rhr": 1, "eit": 2, "rai": 3}
 
 
 class ColumnTable(dict):
@@ -124,14 +123,16 @@ class ColumnTable(dict):
     log_pdf(x), and columns[1], [2] and [3] hold log rhr, log eit and log rai
     at x, each None until a weight first needs it there. A row is no
     object of its own, so the table holds no container per abscissa for the
-    garbage collector to walk.
+    garbage collector to walk.  Beside it, ``moments`` keeps the QuadResult
+    of each raw moment ``functionals.raw_moment`` integrated, by order.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "moments")
 
     def __init__(self):
         super().__init__()
         self.columns = ([], [], [], [])
+        self.moments = {}
 
 
 # Node horizon. At |t| = 6 the endpoint distance sigma*sigmac is ~8.6e-276,
@@ -301,7 +302,8 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
     non-finite value or a bump beyond it goes unseen.  A raise in f reads as
     inf (OverflowError, ZeroDivisionError) or NaN (ValueError).  Status
     MaxDepth means the sweep settled nothing: a non-finite value inside a
-    finite interval, or the level cap or the evaluation budget reached.
+    finite interval, or the level cap or the evaluation budget reached.  The
+    shared budget is written back at the end of each level and on return.
     """
     levels_cap = _ROOT_LEVELS if depth == 0 else _CHILD_LEVELS
     half_line = math.isinf(hi - lo)
@@ -310,6 +312,7 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
     s_prev = math.nan
     err = math.inf
     evaluations = 0
+    left = budget[0]  # the shared budget as this pass found it
     # pooled non-zero tail samples (|t|, log|g|), one pool per endpoint side
     tail = {-1: [], 1: []}
     tail_abs_sum = 0.0
@@ -343,7 +346,6 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
             except ValueError:
                 fx = math.nan
             evaluations += 1
-            budget[0] -= 1
             if fx == 0.0:
                 continue  # no mass; only a non-zero node can end a pass on the budget
             g = fx * w
@@ -351,16 +353,16 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
                 g = g / om / om
             if not isfinite(g):
                 edge = abs(t) >= tail_start
-                if math.isnan(g):
-                    if edge:
-                        continue  # 0*inf artifact at an extreme node, no real mass
-                elif edge or half_line:
-                    # a blow-up at an endpoint the open rule cannot absorb, or
-                    # signal 1: beyond float range on a half line
-                    return QuadResult(total_wf * h * length, math.inf,
-                                      QuadStatus.Divergent, evaluations)
+                nan = math.isnan(g)
+                if nan and edge:
+                    continue  # 0*inf artifact at an extreme node, no real mass
+                budget[0] = left - evaluations
+                # inf at an endpoint the open rule cannot absorb, or signal 1: beyond
+                # float range on a half line; a NaN or an inf inside settles nothing
+                divergent = not nan and (edge or half_line)
                 return QuadResult(total_wf * h * length, math.inf,
-                                  QuadStatus.MaxDepth, evaluations)
+                                  QuadStatus.Divergent if divergent else QuadStatus.MaxDepth,
+                                  evaluations)
             new_wf += g
             if g < 0.0:
                 new_neg += g
@@ -370,9 +372,11 @@ def _pass(f, nodes, frames, lo, hi, length, tol, depth, budget) -> QuadResult:
                 side = -1 if t < 0.0 else 1
                 tail[side].append((abs(t), math.log(abs(g))))
                 tail_abs_sum += abs(g)
-            if budget[0] <= 0:
+            if evaluations >= left:
+                budget[0] = left - evaluations
                 return QuadResult((total_wf + new_wf) * h * length, err,
                                   QuadStatus.MaxDepth, evaluations)
+        budget[0] = left - evaluations
         total_wf += new_wf
         total_neg += new_neg
         abs_sum = total_wf - 2.0 * total_neg
@@ -480,40 +484,36 @@ def integrate_upper_unbounded(f: Callable[[float], float], lo: float,
     return _half_line(f, lo, 1.0, tol or DEFAULT_TOL, 0, [_EVAL_BUDGET])
 
 
-_NO_LOG_WEIGHT = lambda x, a, b: 0.0
-
-
 def expectation(spec: ExpectationSpec, tol: Optional[Tolerances] = None) -> QuadResult:
     """E[w(X)] for the model in spec, signs preserved.
 
-    A weight is w(x) = factor(x)*exp(log_w(x, a, b)), with (log_w, factor)
-    = (log|w|, sign) when spec gives a sign and (0, w) for a plain weight.
-    The one integrand factor(x)*exp(log_pdf(x) + log_w(x, a, b))
-    exponentiates once, so a density below float range keeps its finite
-    product with a weight above it.  It is 0 without the weight where
-    log_pdf is -inf, and without the factor where the product underflows or
-    the sign is ``positive``.  log_pdf(x), a and b come from the model's
-    column table, one dict read per node.
+    The one integrand is w(x)*exp(log_pdf(x)) for a plain weight.  For
+    weight data it is sign(w(x))*exp(log_pdf(x) + e) with e = (log|w(x)| +
+    c0*l0(x)) + c1*l1(x), where l0 and l1 are the log functionals of the
+    spec's columns and c0, c1 their coefficients: one Python call per node,
+    which exponentiates once, so a density below float range keeps its finite
+    product with a weight above it.  It is 0 without the weight where log_pdf
+    is -inf.  log_pdf(x) and l0, l1 come from the model's column table, one
+    dict read per node; ``model.log_functional`` fills a log functional's
+    column where it is first read.
     """
     model = spec.model
-    if spec.sign is None:
-        log_w, factor = _NO_LOG_WEIGHT, spec.weight
-    else:
-        log_w, factor = spec.weight, spec.sign
-    signed = factor is not positive
     lo = model.support.lower
     hi = model.support.upper
-
     table, log_pdf = model._columns, model.log_pdf
     get = table.get
     log_pdfs, rhr, eit, rai = table.columns
-    # log_pdf's column has no None, so its closure is never called
-    columns = spec.columns or (("log_pdf", None),)
-    (name_a, col_a), (name_b, col_b) = columns[0], columns[-1]
-    a_col = table.columns[_COLUMN_SLOTS[name_a]]
-    b_col = table.columns[_COLUMN_SLOTS[name_b]]
+    plain = spec.weight
+    if plain is None and not 1 <= len(spec.columns) <= 2:
+        raise ParameterError("weight data read one or two columns")
+    p, a, bt, s = spec.x_weight
+    affine = a != 0.0 or bt != 1.0  # a power of x needs no alpha + beta*x per node
+    odd = p % 2 == 1
+    reads = [(table.columns[_COLUMN_SLOTS[name]], model.log_functional(name), c)
+             for name, c in spec.columns] + [(None, None, 0.0)] * 2
+    (col0, fill0, c0), (col1, fill1, c1) = reads[:2]
 
-    def integrand(x, exp=math.exp, no_mass=-math.inf):
+    def integrand(x, exp=math.exp, log=math.log, no_mass=-math.inf):
         k = get(x)
         if k is None:
             lp = log_pdf(x)
@@ -526,14 +526,25 @@ def expectation(spec: ExpectationSpec, tol: Optional[Tolerances] = None) -> Quad
             lp = log_pdfs[k]
         if lp == no_mass:
             return 0.0
-        a = a_col[k]
-        if a is None:
-            a = a_col[k] = col_a(x)
-        b = b_col[k]
-        if b is None:
-            b = b_col[k] = col_b(x)
-        m = exp(lp + log_w(x, a, b))
-        return factor(x) * m if signed and m != 0.0 else m
+        if plain is not None:
+            m = exp(lp)
+            return plain(x) * m if m != 0.0 else m
+        l0 = col0[k]
+        if l0 is None:
+            l0 = col0[k] = fill0(x)
+        if col1 is not None:
+            l1 = col1[k]
+            if l1 is None:
+                l1 = col1[k] = fill1(x)
+        if p:
+            v = a + bt * x if affine else x
+            e = p * log(abs(v)) + c0 * l0
+        else:
+            e = x * s + c0 * l0
+        if col1 is not None:
+            e = e + c1 * l1
+        m = exp(lp + e)
+        return -m if odd and m != 0.0 and not v > 0.0 else m
 
     if math.isinf(lo) and math.isinf(hi):
         raise ParameterError("doubly unbounded supports are not used here")

@@ -15,7 +15,7 @@ import mpmath
 import pytest
 import scipy.special as sc
 
-from revrel import characterizations
+from revrel import characterizations, functionals, quadrature
 from revrel.characterizations import (
     CheckReport,
     CheckSpec,
@@ -169,15 +169,26 @@ PRINTED_WEIGHTS = {
     make_check(TheoremId.T4_2, k=2),
     make_check(TheoremId.T4_4, k=3),
 ), ids=lambda c: c.description)
-def test_each_weight_tuple_gives_its_printed_weight(check):
-    # a check's (p, alpha, beta, s) builds log|w| and its sign; both have to
-    # give back the weight its description prints
+def test_each_weight_tuple_gives_its_printed_weight(check, monkeypatch):
+    # the integrands expectation builds from a check's weight data, on a model
+    # whose log_pdf and log functionals are 0: each is its factor's x-weight,
+    # 1/w for a product's first factor and w otherwise
     text, direct = PRINTED_WEIGHTS[check.id]
     assert text.format(k=check.k, base=check.base, alpha=check.alpha,
                        beta=check.beta) in check.description
-    log_w, sign = characterizations._weight(check)
-    for x in (-2.5, -0.7, 0.3, 1.9):
-        assert sign(x) * math.exp(log_w(x)) == pytest.approx(direct(check, x), rel=1e-15)
+    zero = lambda x: 0.0
+    stub = dataclasses.replace(model_from_text("type3ev:gamma=1,b=5"), log_pdf=zero,
+                               log_rhr=zero, log_eit=zero, rai=lambda x: 1.0)
+    integrands = []
+    monkeypatch.setattr(quadrature, "integrate_lower_unbounded",
+                        lambda f, hi, tol=None: integrands.append(f))
+    for spec in characterizations._components(check, stub):
+        quadrature.expectation(spec)
+    powers = {"product": (-1, 1), "moment-bound": (1,)}.get(check.kind, (1, 1))
+    assert len(integrands) == len(powers)
+    for f, power in zip(integrands, powers):
+        for x in (-2.5, -0.7, 0.3, 1.9):
+            assert f(x) == pytest.approx(direct(check, x) ** power, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -566,21 +577,30 @@ def test_matrix_reads_log_pdf_once_per_abscissa():
 
 @dataclasses.dataclass(frozen=True)
 class _WrappedCheck(CheckSpec):
-    """A check whose weights are wrapped in plain callables, as a tracer wraps them."""
+    """A check re-packed as a tracer re-packs one: a CheckSpec subclass with a
+    field of its own, offering weight callables that it would wrap."""
+
+    asked: list = dataclasses.field(default_factory=list, compare=False, repr=False)
 
     def lhs_weights(self, model):
-        return tuple((lambda *args, w=w: w(*args)) for w in super().lhs_weights(model))
+        self.asked.append(model)
+        return ()
 
 
 def test_wrapped_weights_take_the_same_path_to_the_same_records():
-    wrapped = [_WrappedCheck(**{f.name: getattr(c, f.name) for f in dataclasses.fields(c)})
+    fields = dataclasses.fields(CheckSpec)
+    wrapped = [_WrappedCheck(**{f.name: getattr(c, f.name) for f in fields})
                for c in theorem_catalog()]
-    assert report_records(run_matrix(default_models(), wrapped)) == \
-        report_records(run_matrix(default_models()))
-    # the wrapped weights read the column table too: a second matrix calls no closure
+    records = report_records(run_matrix(default_models(), wrapped))
+    assert records == report_records(run_matrix(default_models()))
+    assert sum(len(r["err_estimates"]) for r in records) == 320  # integrals run
+    # a check's weights are data: no path asks for callables that a tracer wraps
+    assert [c.asked for c in wrapped] == [[]] * len(wrapped)
+    # and they read the column table: a second matrix calls no closure
     models, calls = _counted(default_models(), ("log_pdf",) + _LHS_CLOSURES)
     first = report_records(run_matrix(models, wrapped))
     before = dict(calls)
+    assert before["log_pdf"] > 0 and before["rhr"] > 0 and before["rai"] > 0
     assert report_records(run_matrix(models, wrapped)) == first
     assert calls == before
 
@@ -602,6 +622,54 @@ def test_replace_starts_an_empty_column_table():
     run_check(make_check(TheoremId.T2_1), model)
     assert _rows(model) > 0
     assert _rows(dataclasses.replace(model)) == 0
+
+
+def _moment_integrations(monkeypatch):
+    """The evaluations of each moment functionals.raw_moment integrates from now on."""
+    integrated = []
+
+    def counted(spec, tol=None):
+        res = quadrature.expectation(spec, tol)
+        integrated.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(functionals, "expectation", counted)
+    return integrated
+
+
+def test_each_raw_moment_integrates_once_per_model(monkeypatch):
+    # 40 integrations (8,600 evaluations) when each check integrated its own
+    # moments, for 20 distinct (model, order) pairs
+    integrated = _moment_integrations(monkeypatch)
+    models = default_models()
+    first = report_records(run_matrix(models))
+    assert (len(integrated), sum(integrated)) == (20, 4308)
+    del integrated[:]
+    assert report_records(run_matrix(models)) == first
+    assert integrated == []
+
+
+def test_replace_starts_an_empty_moment_cache():
+    model = model_from_text("truncevpower:alpha=1.5,b=0")
+    run_check(make_check(TheoremId.T2_7), model)
+    assert sorted(model._columns.moments) == [1, 2]
+    assert dataclasses.replace(model)._columns.moments == {}
+
+
+def test_a_moment_that_does_not_converge_is_integrated_once(monkeypatch):
+    # mu_2 diverges on this Pareto-tailed law, and T2_7, T2_8 at k = 1 and T2_9
+    # each need it first; without the closed form it is integrated
+    text = "linearmit:xi=2,alpha=0,beta=-1,b=-2"
+    model = dataclasses.replace(model_from_text(text), moments=None)
+    integrated = _moment_integrations(monkeypatch)
+    checks = (make_check(TheoremId.T2_7), make_check(TheoremId.T2_8, k=1),
+              make_check(TheoremId.T2_9))
+    reports = [run_check(c, model) for c in checks]
+    assert len(integrated) == 1
+    assert model._columns.moments[2].status is QuadStatus.Divergent
+    for r in reports:
+        assert r.verdict is Verdict.Divergent
+        assert r.note == f"moment of order 2 did not converge for {text}"
 
 
 @pytest.mark.parametrize("exc,statuses,verdict", (

@@ -56,6 +56,12 @@ def test_sample_set_rejects_bad_input_as_floats(values):
         SampleSet(values=values)
 
 
+@pytest.mark.parametrize("container", [list, np.array])
+def test_sample_set_rejects_text_values(container):
+    with pytest.raises(ParameterError):
+        SampleSet(values=container(["x"] * 3))
+
+
 def test_the_container_follows_the_input_type_and_size():
     short = SampleSet(values=[3, 1.5, 2])
     assert short.values == (1.5, 2.0, 3.0) and short.n == 3

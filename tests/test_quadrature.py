@@ -406,6 +406,20 @@ def test_evaluation_budget_exhaustion_ends_maxdepth(monkeypatch):
     assert finite.evaluations == 1 + 74 + 1
 
 
+@pytest.mark.parametrize("f,budget,evaluations", (
+    (lambda x: 1.0 + x, 19, 19),  # every node carries mass: the 19th ends the pass
+    # converged at level 3, on the 74 nodes that do not round onto 1
+    (lambda x: 1.0 + x, 200, 74),
+    (lambda x: 1.0 / (x - 0.5), 200, 1),  # inf at the first node ends the pass
+), ids=("exhausted", "converged", "non-finite"))
+def test_a_pass_charges_the_shared_budget_each_evaluation(f, budget, evaluations):
+    shared = [budget]
+    res = quadrature._pass(f, quadrature._FINITE_NODES, ((0.0, 1.0), (1.0, -1.0)),
+                           0.0, 1.0, 1.0, DEFAULT_TOL, 0, shared)
+    assert res.evaluations == evaluations
+    assert shared == [budget - evaluations]
+
+
 # ------------------------------------------------------------ live range
 
 @pytest.mark.parametrize("integrate,value,evaluations", (
@@ -522,6 +536,15 @@ def test_expectation_divergent_weight():
     model = model_from_text("uniform:b=1")
     res = expectation(ExpectationSpec(model, lambda x: 1.0 / x))
     assert res.status is QuadStatus.Divergent
+
+
+@pytest.mark.parametrize("columns", ((), (("rhr", 1.0), ("eit", -1.0), ("rai", 1.0))),
+                         ids=("none", "three"))
+def test_weight_data_read_one_or_two_columns(columns):
+    # the integrand adds at most two log functionals: a third would be dropped
+    model = model_from_text("uniform:b=1")
+    with pytest.raises(ParameterError):
+        expectation(ExpectationSpec(model, None, (1, 0.0, 1.0, 0.0), columns))
 
 
 # ----------------------------------------------------- sampling and MC
