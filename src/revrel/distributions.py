@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from ._e1_table import E1_OCTAVES
 from .errors import DivergentMoment, DomainError, ParameterError
 from .quadrature import ColumnTable
 
@@ -136,14 +135,8 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 def _exp_e1(y: float) -> float:
-    """exp(y) * E1(y) for y > 0.
-
-    Below 1/2 the power series (DLMF 6.6.2); on [1/2, 64) a degree-19
-    polynomial per octave from ``_e1_table`` (scripts/fit_e1.py); beyond, the
-    continued fraction of Gamma(0, y), which needs 6 levels at y = 64.
-    """
-    if y <= 0.0:
-        raise ValueError("y must be positive")
+    """exp(y) * E1(y) for y > 0: the power series (DLMF 6.6.2) below 1/2, and from
+    there the continued fraction of Gamma(0, y), 222 levels deep at y = 1/2."""
     if y < 0.5:
         # E1(y) = -gamma - log y - sum_{n>=1} (-y)^n / (n n!)
         acc = 0.0
@@ -154,26 +147,19 @@ def _exp_e1(y: float) -> float:
             if abs(term) < 1e-17 * abs(acc):
                 break
         return math.exp(y) * (-_EULER_GAMMA - math.log(y) - acc)
-    if y < 64.0:
-        m, e = math.frexp(y)
-        u = 4.0 * m - 3.0  # exact: y/2^(e-1) mapped from [1, 2) onto [-1, 1)
-        acc = 0.0
-        for c in E1_OCTAVES[e]:
-            acc = acc * u + c
-        return acc / y
-    return _gamma_cf(0.0, y, 8)
+    return _gamma_cf(0.0, y)
 
 
-def _gamma_cf(s: float, z: float, depth: Optional[int] = None) -> float:
-    """exp(z) * z^-s * Gamma(s, z) for z >= 1 and s <= 1, from depth levels down.
+def _gamma_cf(s: float, z: float) -> float:
+    """exp(z) * z^-s * Gamma(s, z) for z >= 1 and s <= 1, and for s = 0 from z = 1/2.
 
     The even part of Legendre's continued fraction (DLMF 8.9.2), evaluated
     backward. For -30 <= s <= 1 its truncation error falls below 1e-16 at
     114 levels for z = 1, 45 for z = 3, 11 for z = 45, 5 for z = 300 and 3
-    from z = 1000 on (measured with mpmath); the default depth follows that.
+    from z = 1000 on (measured with mpmath); the depth follows that, and
+    holds for s = 0 down to z = 1/2.
     """
-    if depth is None:
-        depth = 12 + int(105.0 / z) if z < 45.0 else 3 + int(1000.0 / z)
+    depth = 12 + int(105.0 / z) if z < 45.0 else 3 + int(1000.0 / z)
     b = z + 1.0 - s
     t = 0.0
     for k in map(float, range(depth, 0, -1)):
@@ -467,12 +453,12 @@ def _build_basealinkedrhr(spec, theta, a_base, b):
 
     def eit(t, exp=math.exp):
         u = t * neg_ln_a
-        if u > 690.0:
-            yl = u + log_theta  # theta*a^-t = exp(yl)
-            if yl > 690.0:
-                return exp(-yl) / ln_a  # asymptote of exp(y)E1(y) ~ 1/y
-            return _exp_e1(exp(yl)) / ln_a
-        return _exp_e1(theta * exp(u)) / ln_a
+        yl = u + log_theta  # theta*a^-t = exp(yl); a^-t leaves float range past |u| = 690
+        if yl < -690.0:
+            return (-_EULER_GAMMA - yl) / ln_a  # exp(y)E1(y) = -gamma - log y + O(y log y)
+        if yl > 690.0:
+            return exp(-yl) / ln_a  # asymptote of exp(y)E1(y) ~ 1/y
+        return _exp_e1(exp(yl) if abs(u) > 690.0 else theta * exp(u)) / ln_a
 
     return DistributionModel(
         spec=spec,
@@ -571,6 +557,8 @@ def _build_finiterange(spec, theta, b, k):
 
     def eit(t):
         w = theta * t ** kp1
+        if w < 1e-300:  # subnormal or 0: -expm1(-w)/w = 1 - w/2 is 1 in floats
+            return t / kp1
         return -math.expm1(-w) / (theta * kp1 * t ** k)
 
     def log_eit(t):
@@ -838,10 +826,15 @@ def parse_family(text: str) -> FamilySpec:
 
 
 def format_family(spec: FamilySpec) -> str:
+    """The text that parse_family reads back to the same spec: ``:g`` where it keeps every digit."""
     family = spec.family.lower()
     keys = tuple(_FAMILIES[family][1]) if family in _FAMILIES else tuple(sorted(spec.params))
-    parts = ",".join(f"{k}={spec.params[k]:g}" for k in keys)
-    return f"{family}:{parts}"
+    parts = []
+    for k in keys:
+        v = spec.params[k]
+        g = f"{v:g}"
+        parts.append(f"{k}={g}" if float(g) == v else f"{k}={v!r}")
+    return f"{family}:{','.join(parts)}"
 
 
 def model_from_text(text: str) -> DistributionModel:

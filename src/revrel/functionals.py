@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Dict, Optional
+from typing import Dict
 
 from .distributions import DistributionModel, format_family
 from .errors import (
@@ -110,11 +110,10 @@ def eit(model: DistributionModel, t: float) -> float:
     return float(model.eit(t))
 
 
-def numeric_eit(model: DistributionModel, t: float,
-                tol: Optional[Tolerances] = None) -> float:
+def numeric_eit(model: DistributionModel, t: float) -> float:
     """m(t) by quadrature of the cdf, never via closed forms."""
     cdf_val = _positive_cdf(model, t)
-    acc = cdf_cumulative_integral(model, t, tol or _TIGHT_TOL)
+    acc = cdf_cumulative_integral(model, t, _TIGHT_TOL)
     return acc / cdf_val
 
 
@@ -141,28 +140,27 @@ def rai(model: DistributionModel, t: float) -> float:
     return float((model.rai or model.rai_from_log_cdf)(t))
 
 
-def _offset_integral(f, a: float, sign: float, length: float, tol: Tolerances) -> float:
+def _offset_integral(f, a: float, sign: float, length: float) -> float:
     """The integral of f(a + sign*u) over u in (0, length); QuadratureError unless it converges.
 
     Nodes next to u = 0 keep their exact distance from a, so a stretch that
     is short against |a|, or one anchored on b, keeps the nodes that an
     integral over x rounds onto a and skips.
     """
-    res = integrate_finite(lambda u: f(a + sign * u), 0.0, length, tol)
+    res = integrate_finite(lambda u: f(a + sign * u), 0.0, length, _TIGHT_TOL)
     if res.status is not QuadStatus.Converged:
         raise QuadratureError(
             f"integral over {length!r} from {a!r} ended {res.status.value}")
     return res.value
 
 
-def _rhr_integral(model: DistributionModel, t: float, tol: Optional[Tolerances]) -> float:
+def _rhr_integral(model: DistributionModel, t: float) -> float:
     """The integral of rhr over (t, b), taken as rhr(b - d) over d in (0, b - t)."""
     upper = model.support.upper
-    return _offset_integral(model.rhr, upper, -1.0, upper - t, tol or _TIGHT_TOL)
+    return _offset_integral(model.rhr, upper, -1.0, upper - t)
 
 
-def rai_integral_form(model: DistributionModel, t: float,
-                      tol: Optional[Tolerances] = None) -> float:
+def rai_integral_form(model: DistributionModel, t: float) -> float:
     """Reversed aging intensity with the denominator integrated numerically.
 
     Evaluates (b - t) * rhr(t) / integral_t^b rhr(x) dx by quadrature
@@ -172,7 +170,7 @@ def rai_integral_form(model: DistributionModel, t: float,
     upper = _rai_upper(model, t)
     if t >= upper:
         return 0.0
-    integral = _rhr_integral(model, t, tol)
+    integral = _rhr_integral(model, t)
     if integral <= 0.0:
         raise DomainError(f"rhr integral vanished on ({t!r}, {upper!r})")
     return (upper - t) * rhr(model, t) / integral
@@ -199,14 +197,13 @@ def rhr_eit_identity_residual(model: DistributionModel, t: float) -> float:
     f_mid, f_hi, f_lo = (_positive_cdf(model, x) for x in (t, t + h, t - h))
     acc = cdf_cumulative_integral(model, t, _TIGHT_TOL)
     m_mid = acc / f_mid
-    m_hi = (acc + _offset_integral(model.cdf, t, 1.0, h, _TIGHT_TOL)) / f_hi
-    m_lo = (acc - _offset_integral(model.cdf, t, -1.0, h, _TIGHT_TOL)) / f_lo
+    m_hi = (acc + _offset_integral(model.cdf, t, 1.0, h)) / f_hi
+    m_lo = (acc - _offset_integral(model.cdf, t, -1.0, h)) / f_lo
     m_prime = (m_hi - m_lo) / (2.0 * h)
     return numeric_rhr(model, t) * m_mid - (1.0 - m_prime)
 
 
-def cdf_from_rhr(model: DistributionModel, t: float,
-                 tol: Optional[Tolerances] = None) -> float:
+def cdf_from_rhr(model: DistributionModel, t: float) -> float:
     """Reconstruct F(t) as exp(-integral_t^b rhr) for finite b."""
     upper = model.support.upper
     if not math.isfinite(upper):
@@ -214,7 +211,7 @@ def cdf_from_rhr(model: DistributionModel, t: float,
     _require_interior(model, t)
     if t >= upper:
         return 1.0
-    return math.exp(-_rhr_integral(model, t, tol))
+    return math.exp(-_rhr_integral(model, t))
 
 
 def raw_moment(model: DistributionModel, r: int) -> float:

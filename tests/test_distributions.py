@@ -420,8 +420,23 @@ def test_parse_family_error_cases():
 
 
 def test_parse_format_roundtrip_over_catalog():
-    for text in DEFAULT_TEXTS:
+    for text in DEFAULT_TEXTS + ("linearmit:xi=0.5,alpha=1e-07,beta=-2,b=inf",):
         assert format_family(parse_family(text)) == text
+
+
+@pytest.mark.parametrize("text, short", [
+    ("linearmit:xi=0.41666666666,alpha=1.23456789,beta=0.5,b=0",
+     "linearmit:xi=0.416667,alpha=1.23457,beta=0.5,b=0"),
+    ("invweibull:nu=0.1,delta=3.0000000000000004", "invweibull:nu=0.1,delta=3"),
+    ("basealinkedrhr:theta=1.5,a_base=2.718281828459045,b=1234567",
+     "basealinkedrhr:theta=1.5,a_base=2.71828,b=1.23457e+06"),
+])
+def test_format_family_names_the_model_that_ran(text, short):
+    # :g kept six digits, and its text built another model; every value now
+    # reads back to itself, and :g stays where it already did
+    spec = parse_family(text)
+    assert parse_family(format_family(spec)) == spec
+    assert format_family(spec) != short
 
 
 @pytest.mark.parametrize("text", [
@@ -702,3 +717,32 @@ def test_basealinkedrhr_keeps_its_mass_at_tiny_theta(theta):
     assert model.eit(t) == pytest.approx(float(want_eit), rel=1e-12)
     assert model.rhr(t) == pytest.approx(float(y * ln_a), rel=1e-12)
     assert model.log_pdf(t) == pytest.approx(float(want_log_pdf), rel=1e-12)
+
+
+@pytest.mark.parametrize("text, t", [
+    # y = theta*a^-t underflows: 0 raised ValueError, a subnormal y lost digits
+    ("truncevpower:alpha=1.5,b=800", 745.0),
+    ("truncevpower:alpha=1.5,b=800", 760.0),
+    ("truncevpower:alpha=1.5,b=800", 799.0),
+    ("basealinkedrhr:theta=1e-320,a_base=2,b=0", -0.1),
+])
+def test_basealinkedrhr_eit_where_its_argument_underflows(text, t):
+    model = model_from_text(text)
+    params = parent_family(model.spec)[1]
+    with mpmath.workdps(40):
+        ln_a = mpmath.log(params["a_base"])
+        y = mpmath.mpf(params["theta"]) * mpmath.exp(-ln_a * t)
+        want = mpmath.exp(y) * mpmath.e1(y) / ln_a
+    assert model.eit(t) == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [1e-160, 1e-162, 1e-200, 1e-300])
+def test_finiterange_eit_where_its_w_is_subnormal(t):
+    # w = theta*t^(k+1) is subnormal or 0: eit read 1e-5 off, then 0.0
+    model = model_from_text("finiterange:theta=0.5,b=1,k=1")
+    with mpmath.workdps(40):
+        w = mpmath.mpf(0.5) * mpmath.mpf(t) ** 2
+        want = -mpmath.expm1(-w) / (mpmath.mpf(0.5) * 2 * mpmath.mpf(t))
+        log_want = float(mpmath.log(want))
+    assert model.eit(t) == pytest.approx(float(want), rel=1e-14, abs=0.0)
+    assert model.log_eit(t) == pytest.approx(log_want, rel=1e-14, abs=0.0)

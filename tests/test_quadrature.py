@@ -420,6 +420,22 @@ def test_a_pass_charges_the_shared_budget_each_evaluation(f, budget, evaluations
     assert shared == [budget - evaluations]
 
 
+def test_a_divergent_half_makes_the_split_divergent():
+    # the NaN at the root's first node (x = 1/2) splits (0, 1); the left half
+    # meets the pole of 1/x and ends Divergent, the right converges, and the
+    # sum keeps Divergent with every evaluation of the root and both halves
+    f = lambda x: math.nan if x == 0.5 else 1.0 / x
+    res = integrate_finite(f, 0.0, 1.0)
+    root = quadrature._pass(f, quadrature._FINITE_NODES, ((0.0, 1.0), (1.0, -1.0)),
+                            0.0, 1.0, 1.0, DEFAULT_TOL, 0, [quadrature._EVAL_BUDGET])
+    left, right = (quadrature._integrate(f, lo, hi, DEFAULT_TOL, 1, [quadrature._EVAL_BUDGET])
+                   for lo, hi in ((0.0, 0.5), (0.5, 1.0)))
+    assert res.status is QuadStatus.Divergent
+    assert (root.status, left.status, right.status) == (
+        QuadStatus.MaxDepth, QuadStatus.Divergent, QuadStatus.Converged)
+    assert res.evaluations == root.evaluations + left.evaluations + right.evaluations == 71
+
+
 # ------------------------------------------------------------ live range
 
 @pytest.mark.parametrize("integrate,value,evaluations", (

@@ -1,18 +1,17 @@
 """The pure-math special functions of ``distributions`` against mpmath.
 
 exp(y)E1(y), Gamma(s, z)exp(z), erfcx and Gamma are computed without scipy
-at run time. Each is checked at rel 1e-14 over the arguments the check matrix
-passes to it and the edges of its branches, and its worst error there is held
-to at most twice that of the scipy call it replaced (scipy stays a test-time
-reference only). The scaled Gamma(s, z)exp(z)z^-s behind invweibull's
+at run time; exp(y)E1(y) is a power series below 1/2 and the continued
+fraction of Gamma(0, y) from there. Each is checked at rel 1e-14 over the
+arguments the check matrix passes to it and the edges of its branches, and
+its worst error there is held to at most twice that of the scipy call it
+replaced (scipy stays a test-time reference only). The scaled Gamma(s, z)exp(z)z^-s behind invweibull's
 inactivity time and the damped series behind basealinkedeit's are checked
 against mpmath where the unscaled forms leave float range.
 """
 
 import functools
-import importlib.util
 import math
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -20,9 +19,6 @@ import pytest
 import scipy.special as sc
 
 from revrel import distributions as d
-from revrel._e1_table import E1_OCTAVES
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def _logspace(lo, hi, n):
@@ -38,13 +34,12 @@ def _around(*points):
 
 # The matrix passes y in [1, 470] to E1, z in [1e-277, 43.6] with s = 2/3
 # (after one upward step from invweibull's s = -1/3) to Gamma(s, z), and
-# x in [4e-276, 7e151] to erfcx. The edges: the series/table switch at
-# y = 1/2, the octaves, the table/continued-fraction switch at 64, the old
+# x in [4e-276, 7e151] to erfcx. The edges: the series/continued-fraction
+# switch at y = 1/2, the continued fraction's depth switch at 45, the old
 # asymptotic switch at 500; the series/continued-fraction switch at z = 1
-# and the old asymptotic one at 45; erfcx's switch at 26.
+# and the depth switch at 45; erfcx's switch at 26.
 E1_ARGS = (_logspace(1.0, 470.0, 240) + _logspace(1e-300, 1.0, 40)
-           + _logspace(470.0, 1e300, 20)
-           + _around(0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 500.0))
+           + _logspace(470.0, 1e300, 20) + _around(0.5, 45.0, 500.0))
 GAMMA_Z = _logspace(1e-277, 43.6, 120) + _around(1.0, 45.0)
 ERFCX_ARGS = (_logspace(4e-276, 7e151, 240) + _logspace(0.3, 40.0, 60)
               + _around(26.0))
@@ -139,14 +134,25 @@ def _scaled_gamma_ref(s):
 
 @pytest.mark.parametrize("s", [1.0, 0.5, 0.25, 0.0, -1.0, -2.0, -5.5, -30.0])
 def test_gamma_continued_fraction_depth_holds_over_its_range(s):
-    # the default depth claims -30 <= s <= 1 for every z >= 1, across its switch at 45
+    # the depth claims -30 <= s <= 1 for every z >= 1, across its switch at 45,
+    # and s = 0 from z = 1/2, where exp(y)E1(y) leaves its series
+    lo = 0.5 if s == 0.0 else 1.0
     err, at = _worst(lambda z: d._upper_gamma_exp(s, z), _gamma_ref(s),
-                     _logspace(1.0, 45.0, 40))
+                     _logspace(lo, 45.0, 40))
     assert err <= 1e-14, f"s={s}: rel error {err:.3g} at z={at!r}"
     # scaled by z^-s, so that the value does not underflow out to z = 1e12
     err, at = _worst(lambda z: d._gamma_cf(s, z), _scaled_gamma_ref(s),
-                     _logspace(1.0, 1e12, 60) + _around(45.0))
+                     _logspace(lo, 1e12, 60) + _around(45.0))
     assert err <= 1e-14, f"s={s}: rel error {err:.3g} at z={at!r}"
+
+
+def test_e1_continued_fraction_stays_near_the_rounding_floor():
+    # an ulp is at most 2.2e-16 relative; on [1/2, 64) the backward recursion's
+    # rounding costs up to 3.1e-16 (the worst of 3,000 random y), its
+    # truncation under 1e-17
+    args = [float(v) for v in np.random.default_rng(1).uniform(0.5, 64.0, 400)]
+    err, at = _worst(d._exp_e1, _e1_ref, args + _logspace(0.5, 64.0, 200))
+    assert err <= 3.5e-16, f"rel error {err:.3g} at {at!r}"
 
 
 @pytest.mark.parametrize("s", [-30.0, -2.0, -1.0, -0.5, 0.25])
@@ -180,12 +186,3 @@ def test_upper_gamma_at_small_z_for_other_orders(s):
     err, at = _worst(lambda z: d._upper_gamma_exp(s, z), _gamma_ref(s),
                      _logspace(1e-30, 1.0, 40) + _around(1.0))
     assert err <= 1e-14, f"s={s}: rel error {err:.3g} at z={at!r}"
-
-
-def test_e1_table_is_what_the_fit_script_writes():
-    spec = importlib.util.spec_from_file_location("fit_e1", ROOT / "scripts" / "fit_e1.py")
-    fit_e1 = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fit_e1)
-    assert fit_e1.render(fit_e1.fit()) == (
-        ROOT / "src" / "revrel" / "_e1_table.py").read_text(encoding="utf-8")
-    assert len(E1_OCTAVES) == 7
